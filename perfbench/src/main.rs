@@ -93,10 +93,9 @@ const MAX_LAG_P99_MS: f64 = 10.0;
 const MIN_SELF_TIME_COVERAGE: f64 = 0.95;
 /// Driven requests per connection the traced run replays at least.
 const MIN_TRACED_DRIVEN: usize = 20;
-/// The quantify side probes must account for `command.apply` within
-/// this relative tolerance. The probes run alone after the replay, where
-/// `command.apply` ran beside the other connection's thread, so they
-/// come out somewhat faster.
+/// The quantify side probes must account for `command::apply` of the
+/// same request, run alone just before them, within this relative
+/// tolerance.
 const PROBE_TOLERANCE: f64 = 0.3;
 
 struct Args {
@@ -227,8 +226,11 @@ fn run(args: &Args, traced: bool) -> Result<RunResult, String> {
         args.seconds,
         u8::from(traced),
         workers + 2,
-        match wl.load {
-            Load::Open { .. } => workload::VISIT_RATE.to_string(),
+        match &wl.load {
+            Load::Open { visits } => {
+                let measured = visits.iter().filter(|v| v.at_s >= WARMUP_S).count();
+                (measured as f64 / args.seconds).to_string()
+            }
             Load::Closed { .. } => "closed-loop".into(),
         }
     );
@@ -671,7 +673,7 @@ fn traced_run(wl: &Workload, args: &Args, workers: usize) -> Result<RunResult, S
     if let Some(share) = probe_share {
         println!(
             "context quantify_probe_share={share:.4} (to_space + filter + quantify + panel_view \
-             over command.apply; tolerance: within {PROBE_TOLERANCE} of 1)"
+             over command::apply run alone; tolerance: within {PROBE_TOLERANCE} of 1)"
         );
     }
 

@@ -145,7 +145,6 @@ pub enum Probe {
         function: LinearScoring,
         command: Command,
         panel: Option<Box<Panel>>,
-        apply: Duration,
     },
     Show {
         id: usize,
@@ -314,9 +313,6 @@ pub fn traced_request(
                         tracer.record("pool.wait", submit, start, Some(root), rid);
                         let run = tracer.record("pool.run", start, back, Some(root), rid);
                         tracer.record("command.apply", applied, end, Some(run), rid);
-                        if let Some(Probe::Quantify { apply, .. }) = &mut probe {
-                            *apply = end - applied;
-                        }
                         result
                     }
                     Ok(None) => Err(SessionError::Internal("command panicked".into())),
@@ -420,7 +416,6 @@ fn capture(registry: &SessionRegistry, req: &Req) -> Option<Probe> {
                 function,
                 command,
                 panel: None,
-                apply: Duration::ZERO,
             }
         }
         Command::Show { panel } => Probe::Show {
@@ -478,8 +473,9 @@ pub struct ProbeTimes {
     pub stream_run: Vec<f64>,
     pub reused_histograms: Vec<f64>,
     pub invalidated_emds: Vec<f64>,
-    /// Probe time over `command.apply` time, summed over quantify
-    /// requests: how much of `command.apply` the probes account for.
+    /// Probe time over the time of the same `command::apply` run alone
+    /// just before the probes, summed over quantify requests: how much
+    /// of `command.apply` the probes account for.
     pub quantify_probe_sum: Duration,
     pub quantify_apply_sum: Duration,
 }
@@ -496,9 +492,10 @@ pub fn run_probes(probes: &[(usize, Probe)], tracer: &mut Tracer) -> ProbeTimes 
                 function,
                 command,
                 panel,
-                apply,
             } => {
                 let Command::Quantify {
+                    dataset: name,
+                    function: function_name,
                     objective,
                     aggregator,
                     bins,
@@ -509,6 +506,22 @@ pub fn run_probes(probes: &[(usize, Probe)], tracer: &mut Tracer) -> ProbeTimes 
                 else {
                     continue;
                 };
+                // The whole command, applied alone on a session holding
+                // only its inputs, right before its probes: the replay's
+                // `command.apply` ran beside the other connection and
+                // seconds earlier, when the machine may have run at
+                // another speed.
+                let mut alone = fairank_session::Session::new();
+                alone
+                    .add_dataset(name.clone(), dataset.dataset().clone())
+                    .and_then(|()| alone.add_function(function_name.clone(), function.clone()))
+                    .expect("probe session takes the request's inputs");
+                let started = Instant::now();
+                std::hint::black_box(
+                    apply_with_budget(&mut alone, command.clone(), RunBudget::default())
+                        .expect("probed quantify applies"),
+                );
+                let apply = started.elapsed();
                 let root = tracer.open("probe.quantify", None, rid);
                 let ds = dataset.dataset();
                 let source = ScoreSource::Function(function.clone());
@@ -553,7 +566,7 @@ pub fn run_probes(probes: &[(usize, Probe)], tracer: &mut Tracer) -> ProbeTimes 
                     }
                 }
                 t.quantify_probe_sum += spans.iter().skip(1).map(Span::duration).sum::<Duration>();
-                t.quantify_apply_sum += *apply;
+                t.quantify_apply_sum += apply;
             }
             Probe::Show { panel, .. } => {
                 let Some(panel) = panel else { continue };

@@ -26,9 +26,12 @@ pub const CONNECTIONS: usize = 2;
 /// Rows of the wide CSV.
 pub const WIDE_ROWS: usize = 10_000;
 
-/// Offered rate of `analyst-visit`, in visits per second. Chosen well
-/// below the saturation rate measured on a 2-core machine (see NOTES.md).
-pub const VISIT_RATE: f64 = 16.0;
+/// Target offered rate of `analyst-visit`, in visits per second. The
+/// window is filled with whole passes of 18 visits, so the rate offered
+/// is this rounded to a whole number of passes (2.7 visits/s in a
+/// 20-second window). Chosen well below the saturation rate measured on a
+/// 2-core machine, about 16 visits/s (see NOTES.md).
+pub const VISIT_RATE: f64 = 3.0;
 
 /// One request line a client sends.
 #[derive(Debug, Clone)]
@@ -325,7 +328,7 @@ pub fn build(
     let snapshot = snapshot.display().to_string();
     match name {
         "quantify-wide" => Some(quantify_wide(seed, csv, &snapshot)),
-        "analyst-visit" => Some(analyst_visit(seed, warmup + seconds)),
+        "analyst-visit" => Some(analyst_visit(seed, warmup, seconds)),
         "scenario-grid" => Some(scenario_grid(seed, csv, &snapshot)),
         _ => None,
     }
@@ -416,6 +419,13 @@ fn quantify_wide(seed: u64, csv: &Path, snapshot: &str) -> Workload {
             }
         }
         let mut rng = Rng::new(seed, 100 + c as u64);
+        // Filters are dealt from every attribute-value pair, so that every
+        // run filters to the same mix of subpopulation sizes.
+        let pairs: Vec<(&str, &str)> = WIDE_ATTRS
+            .iter()
+            .flat_map(|a| WIDE_VALUES.iter().map(move |v| (*a, *v)))
+            .collect();
+        let mut filters = deal(&mut rng, &pairs, STREAM_LEN).into_iter();
         let mut stream = Vec::new();
         for (i, (agg, bins, objective, filtered)) in
             deal(&mut rng, &deck, STREAM_LEN).into_iter().enumerate()
@@ -426,8 +436,7 @@ fn quantify_wide(seed: u64, csv: &Path, snapshot: &str) -> Workload {
             let mut command =
                 format!("quantify wide f agg={agg} bins={bins} objective={objective}");
             if filtered {
-                let attr = WIDE_ATTRS[rng.below(WIDE_ATTRS.len())];
-                let value = WIDE_VALUES[rng.below(WIDE_VALUES.len())];
+                let (attr, value) = filters.next().expect("one filter per request");
                 command.push_str(&format!(" where={attr}={value}"));
             }
             stream.push(Req::new(&s, command));
@@ -448,46 +457,35 @@ const VISIT_FUNCTIONS: [&str; 3] = [
     "language_test*0.7+experience*0.3",
 ];
 
-fn analyst_visit(seed: u64, window: f64) -> Workload {
+fn analyst_visit(seed: u64, warmup: f64, seconds: f64) -> Workload {
     let mut rng = Rng::new(seed, 200);
-    // A Poisson process conditioned on its count: exactly rate x window
-    // arrivals, uniformly placed, so every seed offers the same load.
-    let count = (VISIT_RATE * window).round() as usize;
-    let mut arrivals: Vec<f64> = (0..count).map(|_| rng.unit() * window).collect();
+    // The measured window holds whole passes, so every seed times the
+    // same multiset of visits; the warm-up window's visits come from one
+    // more pass.
+    let pass_len = visit_deck(1).len();
+    let passes = ((VISIT_RATE * seconds / pass_len as f64).round() as usize).max(1);
+    let warm_count = (VISIT_RATE * warmup).round() as usize;
+    let mut cards = deal(&mut rng, &visit_deck(1), warm_count);
+    let mut measured = visit_deck(passes);
+    rng.shuffle(&mut measured);
+    cards.extend(measured);
+    // Poisson processes conditioned on their counts: the warm-up's and the
+    // window's visits are placed uniformly in their windows.
+    let mut arrivals: Vec<f64> = (0..warm_count).map(|_| rng.unit() * warmup).collect();
     arrivals.sort_by(f64::total_cmp);
-    let mut datasets = Vec::new();
-    for preset in ["biased", "crowdsourcing"] {
-        for n in [2_000, 5_000, 10_000] {
-            for data_seed in [1, 2, 3] {
-                datasets.push((preset, n, data_seed));
-            }
-        }
-    }
-    let datasets = deal(&mut rng, &datasets, count);
-    let audits = deal(&mut rng, &[true, false, false], count);
-    let second = deal(
-        &mut rng,
-        &[
-            "agg=max",
-            "agg=variance bins=20",
-            "agg=max objective=least",
-            "bins=20",
-        ],
-        count,
-    );
+    let mut window: Vec<f64> = (warm_count..cards.len())
+        .map(|_| warmup + rng.unit() * seconds)
+        .collect();
+    window.sort_by(f64::total_cmp);
+    arrivals.extend(window);
     let visits = arrivals
         .into_iter()
+        .zip(cards)
         .enumerate()
-        .map(|(v, at_s)| {
-            let s = format!("v{v}");
-            let (preset, n, data_seed) = datasets[v];
-            let function = VISIT_FUNCTIONS[rng.below(VISIT_FUNCTIONS.len())];
-            let steps = visit_steps(&s, (preset, n, data_seed), function, second[v], audits[v]);
-            Visit {
-                conn: v % CONNECTIONS,
-                at_s,
-                steps,
-            }
+        .map(|(v, (at_s, card))| Visit {
+            conn: v % CONNECTIONS,
+            at_s,
+            steps: visit_steps(&format!("v{v}"), card),
         })
         .collect();
     // Setup: one warm-up visit per connection, so that the measured
@@ -497,10 +495,14 @@ fn analyst_visit(seed: u64, window: f64) -> Workload {
             let s = format!("warm{c}");
             visit_steps(
                 &s,
-                ("biased", 10_000, 1),
-                VISIT_FUNCTIONS[0],
-                "agg=max",
-                true,
+                VisitCard {
+                    preset: "biased",
+                    n: 10_000,
+                    data_seed: 1,
+                    function: VISIT_FUNCTIONS[0],
+                    second: VISIT_SECONDS[0],
+                    audit: true,
+                },
             )
         })
         .collect();
@@ -512,28 +514,86 @@ fn analyst_visit(seed: u64, window: f64) -> Workload {
     }
 }
 
-/// One visit's steps in session `s`.
-fn visit_steps(
-    s: &str,
-    (preset, n, data_seed): (&str, usize, u64),
-    function: &str,
-    second: &str,
+/// What one `analyst-visit` visit does.
+#[derive(Debug, Clone, Copy)]
+struct VisitCard {
+    preset: &'static str,
+    n: usize,
+    data_seed: u64,
+    function: &'static str,
+    /// Options of the second quantify.
+    second: &'static str,
+    /// Whether the visit ends with a `filter` and a `stream` re-audit.
     audit: bool,
-) -> Vec<Req> {
+}
+
+/// Options of a visit's second quantify.
+const VISIT_SECONDS: [&str; 4] = [
+    "agg=max",
+    "agg=variance bins=20",
+    "agg=max objective=least",
+    "bins=20",
+];
+
+/// The visits of `passes` passes of `analyst-visit`. A pass runs both
+/// presets at 2k, 5k and 10k rows with dataset seeds 1 to 3 (so that
+/// visits share datasets in the store), 18 visits. The function follows
+/// the dataset seed, the visits on seed 1 (a third) end with the
+/// re-audit, and the second quantify's options rotate from pass to pass.
+fn visit_deck(passes: usize) -> Vec<VisitCard> {
+    let mut deck = Vec::new();
+    for pass in 0..passes {
+        for preset in ["biased", "crowdsourcing"] {
+            for n in [2_000, 5_000, 10_000] {
+                for data_seed in 1..=3 {
+                    let i = deck.len() + pass;
+                    deck.push(VisitCard {
+                        preset,
+                        n,
+                        data_seed,
+                        function: VISIT_FUNCTIONS[data_seed as usize - 1],
+                        second: VISIT_SECONDS[i % VISIT_SECONDS.len()],
+                        audit: data_seed == 1,
+                    });
+                }
+            }
+        }
+    }
+    deck
+}
+
+/// One visit's steps in session `s`.
+fn visit_steps(s: &str, card: VisitCard) -> Vec<Req> {
+    let VisitCard {
+        preset,
+        n,
+        data_seed,
+        function,
+        second,
+        audit,
+    } = card;
     let mut steps = vec![
         Req::new(s, format!("generate d {preset} n={n} seed={data_seed}")),
+        Req::new(s, "datasets"),
+        Req::new(s, "data d rows=5"),
         Req::new(s, format!("define f {function}")),
+        Req::new(s, "funcs"),
         Req::new(s, "quantify d f"),
-        Req::new(s, format!("quantify d f {second}")),
-        Req::new(s, "show 1"),
+        Req::new(s, "panels"),
         Req::new(s, "node 0 0"),
+        Req::new(s, "node 0 1"),
+        Req::new(s, "node 0 2"),
+        Req::new(s, format!("quantify d f {second}")),
+        Req::new(s, "panels"),
+        Req::new(s, "node 1 0"),
+        Req::new(s, "show 1"),
         Req::new(s, "why 0 0"),
         Req::new(s, "compare 0 1"),
-        Req::new(s, "panels"),
         Req::new(s, "subgroups d f"),
     ];
     if audit {
         steps.push(Req::new(s, "filter g d gender=Female"));
+        steps.push(Req::new(s, "datasets"));
         steps.push(Req::new(
             s,
             "stream taskrabbit wood-panels n=2000 rounds=20",
