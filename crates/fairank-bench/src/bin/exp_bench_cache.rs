@@ -123,7 +123,7 @@ fn seeded_session(store: &Arc<DatasetStore>, dataset: &Dataset) -> Session {
     session
 }
 
-/// The benched grid: 2 objectives × all four EMD backends = 8 cells.
+/// The benched grid: 2 objectives × both EMD backends = 4 cells.
 fn grid_spec(min_partition: usize) -> ScenarioSpec {
     let mut spec = ScenarioSpec::new(Perspective::Grid {
         datasets: vec!["pop".into()],
@@ -138,12 +138,7 @@ fn grid_spec(min_partition: usize) -> ScenarioSpec {
         objectives: vec![Objective::MostUnfair, Objective::LeastUnfair],
         aggregators: vec![Aggregator::Mean],
         bins: vec![10],
-        emds: vec![
-            EmdBackendKind::OneD,
-            EmdBackendKind::Transport,
-            EmdBackendKind::Batched,
-            EmdBackendKind::Kernel,
-        ],
+        emds: EmdBackendKind::all().to_vec(),
     });
     spec
 }

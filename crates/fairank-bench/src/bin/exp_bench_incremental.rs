@@ -279,8 +279,8 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out_path, json).expect("report is writable");
     println!(
-        "\nRESULT: every round bit-identical to a full recompute under all \
-         four backends; delta re-quantify reuses the surviving caches. \
+        "\nRESULT: every round bit-identical to a full recompute under both \
+         backends; delta re-quantify reuses the surviving caches. \
          Wrote {out_path}."
     );
 }

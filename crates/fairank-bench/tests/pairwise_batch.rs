@@ -1,8 +1,9 @@
-//! Regression bench for the batched EMD backend: on the tracked
-//! 10k-row / 8-attribute reference space, the closed-form batched backend
-//! must resolve the search's pairwise aggregations with at least 4× fewer
-//! memo/EMD evaluations (`emd_calls + emd_cache_hits`) than the per-pair
-//! memo walk — with search results unchanged to the last bit. Emits
+//! Regression bench for the engine's batched pairwise aggregation: on the
+//! tracked 10k-row / 8-attribute reference space, the default engine must
+//! resolve the search's pairwise aggregations with at least 4× fewer
+//! EMD evaluations (`emd_calls + emd_cache_hits`) than the naive
+//! `Quantify` walk, which computes every leaf pair of every aggregation —
+//! with search results unchanged to the last bit. Emits
 //! `BENCH_pairwise.json` (the committed baseline at the workspace root; CI
 //! runs the smoke shape via `FAIRANK_BENCH_SMOKE=1` and uploads the JSON
 //! as an artifact, like `BENCH_quantify.json`).
@@ -14,20 +15,20 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use fairank_bench::synthetic_space;
-use fairank_core::emd::{Emd, EmdBackendKind};
 use fairank_core::fairness::FairnessCriterion;
 use fairank_core::quantify::{Quantify, QuantifyOutcome};
 use serde::Serialize;
 
-/// One (backend, QUANTIFY run) measurement.
+/// One QUANTIFY run's measurement.
 #[derive(Debug, Serialize)]
 struct BackendRecord {
+    /// The engine's EMD backend (`1d`), or `naive` for the per-pair walk.
     backend: String,
     wall_ms: f64,
     emd_calls: u64,
     emd_cache_hits: u64,
-    /// `emd_calls + emd_cache_hits`: every pair-level resolution that went
-    /// through the memo — the per-pair walk the batched backend replaces.
+    /// `emd_calls + emd_cache_hits`: every pair-level resolution, through
+    /// the memo or (naive walk) straight to the EMD.
     pairwise_evaluations: u64,
     pairwise_batches: u64,
     unfairness: f64,
@@ -42,7 +43,7 @@ struct BenchReport {
     n: u64,
     attrs: u64,
     cardinality: u64,
-    /// Per-pair evaluations divided by batched evaluations (≥ 4 required).
+    /// Naive-walk evaluations divided by engine evaluations (≥ 4 required).
     evaluation_reduction: f64,
     records: Vec<BackendRecord>,
 }
@@ -82,18 +83,18 @@ fn batched_backend_does_4x_fewer_pairwise_evaluations() {
 
     let mut records = Vec::new();
     let mut outcomes = Vec::new();
-    for kind in [
-        EmdBackendKind::OneD,
-        EmdBackendKind::Batched,
-        EmdBackendKind::Kernel,
+    for (label, quantify) in [
+        ("1d", Quantify::new(FairnessCriterion::default())),
+        (
+            "naive",
+            Quantify::new(FairnessCriterion::default()).with_naive_evaluation(),
+        ),
     ] {
-        let quantify =
-            Quantify::new(FairnessCriterion::default().with_emd(Emd::new(kind)));
         let start = Instant::now();
         let outcome = quantify.run_space(&space).expect("quantify runs");
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         records.push(BackendRecord {
-            backend: kind.name().to_string(),
+            backend: label.to_string(),
             wall_ms,
             emd_calls: outcome.stats.emd_calls as u64,
             emd_cache_hits: outcome.stats.emd_cache_hits as u64,
@@ -104,27 +105,23 @@ fn batched_backend_does_4x_fewer_pairwise_evaluations() {
         });
         outcomes.push(outcome);
     }
-    let (per_pair, batched, kernel) = (&outcomes[0], &outcomes[1], &outcomes[2]);
+    let (engine, naive) = (&outcomes[0], &outcomes[1]);
 
     // Unchanged search results, to the last bit.
-    for other in [batched, kernel] {
-        assert_eq!(per_pair.unfairness.to_bits(), other.unfairness.to_bits());
-        assert_eq!(per_pair.partitions, other.partitions);
-        assert_eq!(per_pair.tree, other.tree);
-    }
-    // The SoA kernel folds the same distinct pairs the batched backend does.
-    assert_eq!(batched.stats, kernel.stats);
+    assert_eq!(naive.unfairness.to_bits(), engine.unfairness.to_bits());
+    assert_eq!(naive.partitions, engine.partitions);
+    assert_eq!(naive.tree, engine.tree);
 
-    // The acceptance bar: ≥ 4× fewer memo/EMD evaluations.
-    let walk = evaluations(per_pair);
-    let batch = evaluations(batched);
+    // The acceptance bar: ≥ 4× fewer EMD evaluations.
+    let walk = evaluations(naive);
+    let batch = evaluations(engine);
     assert!(
         batch * 4 <= walk,
-        "batched backend did {batch} pairwise evaluations vs {walk} for the \
-         per-pair walk (need ≥ 4× fewer)"
+        "the engine did {batch} pairwise evaluations vs {walk} for the \
+         naive walk (need ≥ 4× fewer)"
     );
-    assert!(batched.stats.pairwise_batches > 0);
-    assert_eq!(per_pair.stats.pairwise_batches, 0);
+    assert!(engine.stats.pairwise_batches > 0);
+    assert_eq!(naive.stats.pairwise_batches, 0);
 
     let report = BenchReport {
         experiment: "bench_pairwise".to_string(),
@@ -139,7 +136,7 @@ fn batched_backend_does_4x_fewer_pairwise_evaluations() {
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&path, json).expect("report is writable");
     println!(
-        "pairwise evaluations: per-pair {walk} vs batched {batch} \
+        "pairwise evaluations: naive {walk} vs engine {batch} \
          ({:.1}× reduction). Wrote {}.",
         walk as f64 / batch.max(1) as f64,
         path.display()

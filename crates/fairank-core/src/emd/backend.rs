@@ -5,44 +5,34 @@
 //! API: given all leaf histograms of a node, a backend returns the full
 //! pairwise (or cross) distance contribution in one call, which lets an
 //! implementation hoist per-histogram work out of the O(L²) pair loop.
-//! Three implementations ship:
+//! Two implementations ship:
 //!
-//! * [`TransportBackend`] — the reference minimum-cost transportation
-//!   solver. Its inputs are put into a canonical order before solving, so
-//!   `d(a, b)` and `d(b, a)` are *bitwise* identical (the solver's pivoting
-//!   is not otherwise guaranteed symmetric at the bit level); downstream
-//!   memo tables can therefore key on unordered pairs.
-//! * [`OneDBackend`] — the exact 1-D closed form (CDF difference), already
-//!   bitwise symmetric because IEEE negation is exact.
-//! * [`BatchedOneDBackend`] — the closed-form 1-D EMD with batch-level
-//!   hoisting: every histogram's normalized mass vector is computed once
-//!   per batch (the per-pair allocations and divisions of the plain 1-D
-//!   path), and each pair is then folded in the *reference summation
-//!   order* (`cum += pa_i − pb_i; total += |cum|`). Subtracting hoisted
-//!   prefix-sum CDFs (`|CDF_a − CDF_b|`) would change the rounding of that
-//!   fold, so the batched backend hoists masses instead of CDFs — the
-//!   result is bit-identical (0 ULP) to [`OneDBackend`], not merely close.
-//!   Bins are already in ascending score order by construction, so no sort
-//!   step is needed.
-//!
-//! A fourth implementation, [`super::kernel::KernelOneDBackend`], lives in
-//! its own module: the same closed form folded in structure-of-arrays
-//! order, all pairs of a batch advancing one bin level at a time.
+//! * [`super::kernel::KernelOneDBackend`] (`1d`) — the exact 1-D closed
+//!   form (CDF difference). Single pairs fold with the scalar
+//!   [`one_d::emd_1d_mass`]; batches fold in structure-of-arrays order,
+//!   all pairs advancing one bin level at a time, with the scalar fold's
+//!   per-pair operation sequence. Bitwise symmetric because IEEE negation
+//!   is exact.
+//! * [`TransportBackend`] (`transport`) — the reference minimum-cost
+//!   transportation solver. Its inputs are put into a canonical order
+//!   before solving, so `d(a, b)` and `d(b, a)` are *bitwise* identical
+//!   (the solver's pivoting is not otherwise guaranteed symmetric at the
+//!   bit level); downstream memo tables can therefore key on unordered
+//!   pairs.
 //!
 //! Equivalence guarantees, pinned by `tests/emd_backend_equivalence.rs`:
 //!
-//! | backend     | vs. 1-D closed form | symmetry        |
-//! |-------------|---------------------|-----------------|
-//! | `1d`        | identity            | bitwise (exact) |
-//! | `batched`   | bit-identical (0 ULP) | bitwise (exact) |
-//! | `kernel`    | bit-identical (0 ULP) | bitwise (exact) |
-//! | `transport` | ≤ 1e-9 (solver eps) | bitwise (canonical input order) |
+//! | backend     | vs. scalar `emd_1d_mass` | symmetry        |
+//! |-------------|--------------------------|-----------------|
+//! | `1d`        | bit-identical (0 ULP)    | bitwise (exact) |
+//! | `transport` | ≤ 1e-9 (solver eps)      | bitwise (canonical input order) |
 
 use std::cmp::Ordering;
 
 use crate::error::Result;
 use crate::histogram::{Histogram, HistogramSpec};
 
+use super::kernel::KernelOneDBackend;
 use super::{one_d, transport, EmdBackendKind};
 
 /// An EMD implementation: single-pair distance plus batch entry points.
@@ -54,7 +44,7 @@ pub trait EmdBackend: Send + Sync {
     /// The selector this implementation answers to.
     fn kind(&self) -> EmdBackendKind;
 
-    /// The command-syntax name (`1d` / `transport` / `batched`).
+    /// The command-syntax name (`1d` / `transport`).
     fn name(&self) -> &'static str {
         self.kind().name()
     }
@@ -64,32 +54,18 @@ pub trait EmdBackend: Send + Sync {
 
     /// All `C(L, 2)` unordered pairwise distances among `hists`, pushed
     /// onto `out` in lexicographic pair order `(0,1), (0,2), …`.
-    fn pairwise(&self, hists: &[Histogram], out: &mut Vec<f64>) -> Result<()> {
-        for i in 0..hists.len() {
-            for j in (i + 1)..hists.len() {
-                out.push(self.pair(&hists[i], &hists[j])?);
-            }
-        }
-        Ok(())
-    }
+    fn pairwise(&self, hists: &[Histogram], out: &mut Vec<f64>) -> Result<()>;
 
     /// All `|left| × |right|` cross distances (left outer, right inner —
     /// the order `cross_distances` has always used).
-    fn cross(&self, left: &[Histogram], right: &[Histogram], out: &mut Vec<f64>) -> Result<()> {
-        for a in left {
-            for b in right {
-                out.push(self.pair(a, b)?);
-            }
-        }
-        Ok(())
-    }
+    fn cross(&self, left: &[Histogram], right: &[Histogram], out: &mut Vec<f64>) -> Result<()>;
 }
 
 /// The empty-histogram conventions: `Some(distance)` when a convention
 /// decides the pair, `None` when both histograms are non-empty and the
-/// backend must compute. The single source every distance path — including
-/// the engine's id-level batch path via [`one_d_from_parts`] — goes
-/// through, so the conventions cannot drift apart.
+/// backend must compute. The single source every distance path — the
+/// single-pair fold, the SoA batch fold and the engine's id-level batch
+/// path — goes through, so the conventions cannot drift apart.
 pub(crate) fn convention(a_empty: bool, b_empty: bool, spec: &HistogramSpec) -> Option<f64> {
     match (a_empty, b_empty) {
         (true, true) => Some(0.0),
@@ -104,41 +80,13 @@ fn special_case(a: &Histogram, b: &Histogram) -> Result<Option<f64>> {
     Ok(convention(a.is_empty(), b.is_empty(), a.spec()))
 }
 
-/// The complete 1-D closed-form distance over pre-separated parts
-/// (emptiness flags + normalized masses): conventions, then the reference
-/// fold. Crate-visible so the engine's batch path computes the exact same
-/// bits from its cached mass vectors without materializing histograms.
-pub(crate) fn one_d_from_parts(
-    a_empty: bool,
-    b_empty: bool,
-    mass_a: &[f64],
-    mass_b: &[f64],
-    spec: &HistogramSpec,
-) -> f64 {
-    convention(a_empty, b_empty, spec)
-        .unwrap_or_else(|| one_d::emd_1d_mass(mass_a, mass_b, spec.bin_width()))
-}
-
-/// The 1-D closed-form pair distance on already-normalized masses.
+/// The 1-D closed-form pair distance: conventions, then the scalar fold on
+/// normalized masses.
 pub(crate) fn one_d_pair(a: &Histogram, b: &Histogram) -> Result<f64> {
     if let Some(d) = special_case(a, b)? {
         return Ok(d);
     }
     Ok(one_d::emd_1d_mass(&a.mass(), &b.mass(), a.spec().bin_width()))
-}
-
-/// Exact 1-D closed form (CDF difference) — the default backend.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OneDBackend;
-
-impl EmdBackend for OneDBackend {
-    fn kind(&self) -> EmdBackendKind {
-        EmdBackendKind::OneD
-    }
-
-    fn pair(&self, a: &Histogram, b: &Histogram) -> Result<f64> {
-        one_d_pair(a, b)
-    }
 }
 
 /// The general transportation solver with `|center_i − center_j|` costs —
@@ -222,76 +170,14 @@ impl EmdBackend for TransportBackend {
     }
 }
 
-/// The closed-form batched 1-D backend: mass vectors are normalized once
-/// per batch, then every pair is folded in the reference summation order —
-/// bit-identical to [`OneDBackend`], without the per-pair normalization
-/// allocations the plain path performs on every computed pair.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchedOneDBackend;
-
-impl BatchedOneDBackend {
-    fn pair_from_masses(
-        a: &Histogram,
-        b: &Histogram,
-        mass_a: &[f64],
-        mass_b: &[f64],
-    ) -> Result<f64> {
-        a.check_compatible(b)?;
-        Ok(one_d_from_parts(
-            a.is_empty(),
-            b.is_empty(),
-            mass_a,
-            mass_b,
-            a.spec(),
-        ))
-    }
-}
-
-impl EmdBackend for BatchedOneDBackend {
-    fn kind(&self) -> EmdBackendKind {
-        EmdBackendKind::Batched
-    }
-
-    fn pair(&self, a: &Histogram, b: &Histogram) -> Result<f64> {
-        one_d_pair(a, b)
-    }
-
-    fn pairwise(&self, hists: &[Histogram], out: &mut Vec<f64>) -> Result<()> {
-        let masses: Vec<Vec<f64>> = hists.iter().map(Histogram::mass).collect();
-        for i in 0..hists.len() {
-            for j in (i + 1)..hists.len() {
-                out.push(Self::pair_from_masses(
-                    &hists[i], &hists[j], &masses[i], &masses[j],
-                )?);
-            }
-        }
-        Ok(())
-    }
-
-    fn cross(&self, left: &[Histogram], right: &[Histogram], out: &mut Vec<f64>) -> Result<()> {
-        let left_masses: Vec<Vec<f64>> = left.iter().map(Histogram::mass).collect();
-        let right_masses: Vec<Vec<f64>> = right.iter().map(Histogram::mass).collect();
-        for (a, mass_a) in left.iter().zip(&left_masses) {
-            for (b, mass_b) in right.iter().zip(&right_masses) {
-                out.push(Self::pair_from_masses(a, b, mass_a, mass_b)?);
-            }
-        }
-        Ok(())
-    }
-}
-
 impl EmdBackendKind {
     /// The implementation behind this selector.
     pub fn implementation(&self) -> &'static dyn EmdBackend {
-        static ONE_D: OneDBackend = OneDBackend;
+        static ONE_D: KernelOneDBackend = KernelOneDBackend;
         static TRANSPORT: TransportBackend = TransportBackend;
-        static BATCHED: BatchedOneDBackend = BatchedOneDBackend;
-        static KERNEL: super::kernel::KernelOneDBackend = super::kernel::KernelOneDBackend;
         match self {
             EmdBackendKind::OneD => &ONE_D,
             EmdBackendKind::Transport => &TRANSPORT,
-            EmdBackendKind::Batched => &BATCHED,
-            EmdBackendKind::Kernel => &KERNEL,
         }
     }
 }
@@ -303,6 +189,12 @@ mod tests {
 
     fn hist(scores: &[f64]) -> Histogram {
         Histogram::from_scores(HistogramSpec::unit(10).unwrap(), scores.iter().copied())
+    }
+
+    /// The scalar closed form on normalized masses — the oracle the 1-D
+    /// backend must reproduce bit for bit.
+    fn scalar(a: &Histogram, b: &Histogram) -> f64 {
+        one_d::emd_1d_mass(&a.mass(), &b.mass(), a.spec().bin_width())
     }
 
     #[test]
@@ -317,9 +209,8 @@ mod tests {
     fn batched_pair_is_bit_identical_to_one_d() {
         let a = hist(&[0.05, 0.15, 0.15, 0.35, 0.75, 0.85]);
         let b = hist(&[0.25, 0.45, 0.55, 0.95]);
-        let d1 = OneDBackend.pair(&a, &b).unwrap();
-        let db = BatchedOneDBackend.pair(&a, &b).unwrap();
-        assert_eq!(d1.to_bits(), db.to_bits());
+        let d = EmdBackendKind::OneD.implementation().pair(&a, &b).unwrap();
+        assert_eq!(d.to_bits(), scalar(&a, &b).to_bits());
     }
 
     #[test]
@@ -330,13 +221,19 @@ mod tests {
             hist(&[0.95, 0.95]),
             hist(&[0.05, 0.95]),
         ];
-        let mut per_pair = Vec::new();
-        OneDBackend.pairwise(&hists, &mut per_pair).unwrap();
-        let mut batched = Vec::new();
-        BatchedOneDBackend.pairwise(&hists, &mut batched).unwrap();
-        assert_eq!(per_pair.len(), 6);
-        for (x, y) in per_pair.iter().zip(&batched) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        for kind in EmdBackendKind::all() {
+            let backend = kind.implementation();
+            let mut batch = Vec::new();
+            backend.pairwise(&hists, &mut batch).unwrap();
+            assert_eq!(batch.len(), 6);
+            let mut k = 0;
+            for i in 0..hists.len() {
+                for j in (i + 1)..hists.len() {
+                    let d = backend.pair(&hists[i], &hists[j]).unwrap();
+                    assert_eq!(batch[k].to_bits(), d.to_bits(), "{kind:?} pair {i},{j}");
+                    k += 1;
+                }
+            }
         }
     }
 
@@ -344,13 +241,15 @@ mod tests {
     fn batched_cross_matches_per_pair_loop_bitwise() {
         let left = vec![hist(&[0.05]), hist(&[0.45, 0.55])];
         let right = vec![hist(&[0.95]), hist(&[0.25]), hist(&[0.65, 0.75])];
-        let mut per_pair = Vec::new();
-        OneDBackend.cross(&left, &right, &mut per_pair).unwrap();
-        let mut batched = Vec::new();
-        BatchedOneDBackend.cross(&left, &right, &mut batched).unwrap();
-        assert_eq!(per_pair.len(), 6);
-        for (x, y) in per_pair.iter().zip(&batched) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        for kind in EmdBackendKind::all() {
+            let backend = kind.implementation();
+            let mut batch = Vec::new();
+            backend.cross(&left, &right, &mut batch).unwrap();
+            assert_eq!(batch.len(), 6);
+            let pairs = left.iter().flat_map(|a| right.iter().map(move |b| (a, b)));
+            for ((a, b), d) in pairs.zip(&batch) {
+                assert_eq!(backend.pair(a, b).unwrap().to_bits(), d.to_bits(), "{kind:?}");
+            }
         }
     }
 
@@ -369,28 +268,32 @@ mod tests {
         let empty = Histogram::empty(spec);
         let full = hist(&[0.5]);
         let hists = vec![empty.clone(), full.clone(), Histogram::empty(spec)];
-        let mut out = Vec::new();
-        BatchedOneDBackend.pairwise(&hists, &mut out).unwrap();
-        // (empty, full) = 1, (empty, empty) = 0, (full, empty) = 1.
-        assert_eq!(out, vec![1.0, 0.0, 1.0]);
-        let mut out = Vec::new();
-        BatchedOneDBackend
-            .cross(std::slice::from_ref(&empty), &hists, &mut out)
-            .unwrap();
-        assert_eq!(out, vec![0.0, 1.0, 0.0]);
+        for kind in EmdBackendKind::all() {
+            let backend = kind.implementation();
+            let mut out = Vec::new();
+            backend.pairwise(&hists, &mut out).unwrap();
+            // (empty, full) = 1, (empty, empty) = 0, (full, empty) = 1.
+            assert_eq!(out, vec![1.0, 0.0, 1.0], "{kind:?}");
+            let mut out = Vec::new();
+            backend
+                .cross(std::slice::from_ref(&empty), &hists, &mut out)
+                .unwrap();
+            assert_eq!(out, vec![0.0, 1.0, 0.0], "{kind:?}");
+        }
     }
 
     #[test]
     fn incompatible_specs_error_in_batches_too() {
         let a = Histogram::empty(HistogramSpec::unit(5).unwrap());
         let b = Histogram::empty(HistogramSpec::unit(10).unwrap());
-        let mut out = Vec::new();
-        assert!(BatchedOneDBackend
-            .pairwise(&[a.clone(), b.clone()], &mut out)
-            .is_err());
-        let mut out = Vec::new();
-        assert!(BatchedOneDBackend
-            .cross(std::slice::from_ref(&a), std::slice::from_ref(&b), &mut out)
-            .is_err());
+        for kind in EmdBackendKind::all() {
+            let backend = kind.implementation();
+            let mut out = Vec::new();
+            assert!(backend.pairwise(&[a.clone(), b.clone()], &mut out).is_err());
+            let mut out = Vec::new();
+            assert!(backend
+                .cross(std::slice::from_ref(&a), std::slice::from_ref(&b), &mut out)
+                .is_err());
+        }
     }
 }

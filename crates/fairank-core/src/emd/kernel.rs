@@ -1,23 +1,30 @@
-//! The structure-of-arrays 1-D EMD kernel.
+//! The 1-D EMD backend (`1d`) and its structure-of-arrays kernel.
 //!
 //! [`one_d::emd_1d_mass`] folds one pair at a time: for each bin it updates
 //! a running CDF difference and accumulates its absolute value. That fold
 //! is a chain of dependent adds, so a per-pair loop leaves the FPU idle
 //! between bins. This module transposes the computation: masses are laid
 //! out bin-major (`soa[bin * width + slot]`, one *slot* per histogram of
-//! the batch) and **all pairs advance together**, one bin level at a time,
-//! over dense `cum`/`total` accumulator arrays indexed by pair. The inner
-//! loop over pairs is branchless (`abs` is a sign-bit mask) and carries no
-//! loop-to-loop dependency, so it autovectorizes; the dependent chain of
-//! any single pair is unchanged.
+//! the batch) and pairs advance in blocks of [`LANES`], one bin level at a
+//! time, with each block's `cum`/`total` accumulators held in registers
+//! for the whole sweep. The inner loop over a block's lanes is branchless
+//! (`abs` is a sign-bit mask) and carries no lane-to-lane dependency, so
+//! the lanes' chains overlap; the dependent chain of any single pair is
+//! unchanged.
 //!
 //! Bit-identity: for a fixed pair `p`, the kernel executes *exactly* the
 //! reference sequence — `cum[p] += a_i − b_i; total[p] += |cum[p]|` for
 //! `i = 0, 1, …` — only interleaved with other pairs' (independent) IEEE
 //! operations. Floating-point results depend on the operation sequence per
 //! value, not on scheduling across independent values, so every distance is
-//! bit-identical (0 ULP) to [`super::backend::OneDBackend`]. The
+//! bit-identical (0 ULP) to the scalar [`one_d::emd_1d_mass`] fold. The
 //! conformance suite (`tests/emd_backend_equivalence.rs`) pins this.
+//!
+//! [`fold_pairs`] is also the fold the engine's memo-miss path runs on its
+//! cached mass arena, so a QUANTIFY and a direct [`KernelOneDBackend`]
+//! batch compute the same bits.
+//!
+//! [`one_d::emd_1d_mass`]: super::one_d::emd_1d_mass
 
 use crate::error::Result;
 use crate::histogram::{Histogram, HistogramSpec};
@@ -28,56 +35,55 @@ use super::EmdBackendKind;
 /// One pair of slots (indices into the batch's SoA columns) to fold.
 pub(crate) type SlotPair = (u32, u32);
 
+/// Pairs folded together as one block: a block's accumulators stay in
+/// registers for the whole bin sweep.
+const LANES: usize = 8;
+
 /// Folds every `(a, b)` pair of `pairs` over a bin-major SoA mass matrix
-/// (`soa[bin * width + slot]`, `bins × width` entries), appending one
-/// distance per pair to `out` in `pairs` order. `cum` and `total` are
-/// caller-provided scratch (cleared here) so steady-state callers never
-/// reallocate. Empty-histogram conventions are the caller's business: the
-/// kernel folds whatever masses it is given (all-zero columns fold to 0).
-// The flat argument list IS the design: the kernel's inputs are disjoint
-// borrows of caller-owned scratch so the hot loop stays allocation-free;
-// bundling them into a struct would force either owned buffers or a
-// borrow-splitting wrapper at every call site.
-#[allow(clippy::too_many_arguments)]
+/// (`soa[bin * width + slot]`, one `width`-long level per bin), appending one
+/// distance per pair to `out` in `pairs` order. Pairs advance in blocks
+/// of [`LANES`]; a short last block is padded with self-pairs of slot 0
+/// whose results are dropped. Empty-histogram conventions are the
+/// caller's business: the kernel folds whatever masses it is given
+/// (all-zero columns fold to 0).
 pub(crate) fn fold_pairs(
     soa: &[f64],
     width: usize,
-    bins: usize,
     pairs: &[SlotPair],
     bin_width: f64,
-    cum: &mut Vec<f64>,
-    total: &mut Vec<f64>,
     out: &mut Vec<f64>,
 ) {
-    debug_assert_eq!(soa.len(), bins * width, "SoA matrix must be bins × width");
-    let n = pairs.len();
-    cum.clear();
-    cum.resize(n, 0.0);
-    total.clear();
-    total.resize(n, 0.0);
-    for bin in 0..bins {
-        let level = &soa[bin * width..(bin + 1) * width];
-        // Branchless and dependency-free across pairs: each lane updates
-        // its own accumulators with the reference fold's two operations.
-        for (p, &(a, b)) in pairs.iter().enumerate() {
-            let c = cum[p] + (level[a as usize] - level[b as usize]);
-            cum[p] = c;
-            total[p] += c.abs();
+    debug_assert!(
+        width > 0 && soa.len().is_multiple_of(width),
+        "SoA matrix must be bins × width"
+    );
+    for block in pairs.chunks(LANES) {
+        let mut lanes = [(0, 0); LANES];
+        lanes[..block.len()].copy_from_slice(block);
+        let mut cum = [0.0f64; LANES];
+        let mut total = [0.0f64; LANES];
+        for level in soa.chunks_exact(width) {
+            // Branchless and dependency-free across lanes: each lane
+            // updates its own accumulators with the reference fold's two
+            // operations.
+            for (l, &(a, b)) in lanes.iter().enumerate() {
+                let c = cum[l] + (level[a as usize] - level[b as usize]);
+                cum[l] = c;
+                total[l] += c.abs();
+            }
         }
+        out.extend(total[..block.len()].iter().map(|t| t * bin_width));
     }
-    out.extend(total.iter().map(|t| t * bin_width));
 }
 
-/// Scatters each histogram's normalized mass into column `slot` of a
+/// Scatters each histogram's normalized mass into its column (slot) of a
 /// bin-major SoA matrix sized `bins × width`.
-fn fill_soa(hists: &[Histogram], bins: usize, scratch: &mut Vec<f64>) -> Vec<f64> {
-    let width = hists.len();
+fn fill_soa<'h>(hists: impl Iterator<Item = &'h Histogram>, width: usize, bins: usize) -> Vec<f64> {
     let mut soa = vec![0.0f64; bins * width];
-    for (slot, h) in hists.iter().enumerate() {
-        scratch.clear();
-        scratch.resize(bins, 0.0);
-        h.mass_into(scratch);
-        for (bin, &m) in scratch.iter().enumerate() {
+    let mut mass = vec![0.0f64; bins];
+    for (slot, h) in hists.enumerate() {
+        h.mass_into(&mut mass);
+        for (bin, &m) in mass.iter().enumerate() {
             soa[bin * width + slot] = m;
         }
     }
@@ -94,9 +100,9 @@ fn check_batch(hists: &[Histogram], spec: &HistogramSpec) -> Result<Vec<bool>> {
         .collect()
 }
 
-/// The structure-of-arrays 1-D backend: bit-identical to
-/// [`super::backend::OneDBackend`], batch entry points fold all pairs
-/// together one bin level at a time.
+/// The 1-D closed-form backend (`1d`, the default): single pairs fold with
+/// the scalar [`super::one_d::emd_1d_mass`], batch entry points fold all
+/// pairs together one bin level at a time — the same bits either way.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KernelOneDBackend;
 
@@ -112,18 +118,7 @@ impl KernelOneDBackend {
         out: &mut Vec<f64>,
     ) {
         let base = out.len();
-        let mut cum = Vec::new();
-        let mut total = Vec::new();
-        fold_pairs(
-            soa,
-            width,
-            spec.bins(),
-            pairs,
-            spec.bin_width(),
-            &mut cum,
-            &mut total,
-            out,
-        );
+        fold_pairs(soa, width, pairs, spec.bin_width(), out);
         for (p, &(a, b)) in pairs.iter().enumerate() {
             if let Some(d) =
                 super::backend::convention(empties[a as usize], empties[b as usize], spec)
@@ -136,12 +131,12 @@ impl KernelOneDBackend {
 
 impl EmdBackend for KernelOneDBackend {
     fn kind(&self) -> EmdBackendKind {
-        EmdBackendKind::Kernel
+        EmdBackendKind::OneD
     }
 
     fn pair(&self, a: &Histogram, b: &Histogram) -> Result<f64> {
-        // A single pair has no batch to transpose over; the reference path
-        // already is the per-pair fold.
+        // A single pair has no batch to transpose over; the scalar fold
+        // already is the per-pair sequence.
         super::backend::one_d_pair(a, b)
     }
 
@@ -151,9 +146,8 @@ impl EmdBackend for KernelOneDBackend {
         };
         let spec = *first.spec();
         let empties = check_batch(hists, &spec)?;
-        let mut scratch = Vec::new();
-        let soa = fill_soa(hists, spec.bins(), &mut scratch);
         let n = hists.len();
+        let soa = fill_soa(hists.iter(), n, spec.bins());
         let mut pairs = Vec::with_capacity(n.saturating_sub(1) * n / 2);
         for i in 0..n {
             for j in (i + 1)..n {
@@ -174,16 +168,7 @@ impl EmdBackend for KernelOneDBackend {
         // One SoA over both sides: left occupies slots 0..|L|, right the
         // rest, so a pair is (left slot, |L| + right slot).
         let width = left.len() + right.len();
-        let mut scratch = Vec::new();
-        let mut soa = vec![0.0f64; spec.bins() * width];
-        for (slot, h) in left.iter().chain(right.iter()).enumerate() {
-            scratch.clear();
-            scratch.resize(spec.bins(), 0.0);
-            h.mass_into(&mut scratch);
-            for (bin, &m) in scratch.iter().enumerate() {
-                soa[bin * width + slot] = m;
-            }
-        }
+        let soa = fill_soa(left.iter().chain(right), width, spec.bins());
         let mut pairs = Vec::with_capacity(left.len() * right.len());
         for i in 0..left.len() {
             for j in 0..right.len() {
@@ -198,11 +183,16 @@ impl EmdBackend for KernelOneDBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emd::backend::OneDBackend;
+    use crate::emd::one_d::emd_1d_mass;
     use crate::histogram::HistogramSpec;
 
     fn hist(scores: &[f64]) -> Histogram {
         Histogram::from_scores(HistogramSpec::unit(10).unwrap(), scores.iter().copied())
+    }
+
+    /// The scalar closed form on normalized masses — the bit-level oracle.
+    fn scalar(a: &Histogram, b: &Histogram) -> f64 {
+        emd_1d_mass(&a.mass(), &b.mass(), a.spec().bin_width())
     }
 
     #[test]
@@ -223,11 +213,10 @@ mod tests {
         }
         let pairs: Vec<SlotPair> =
             vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 0)];
-        let (mut cum, mut total, mut out) = (Vec::new(), Vec::new(), Vec::new());
-        fold_pairs(&soa, width, bins, &pairs, 0.2, &mut cum, &mut total, &mut out);
+        let mut out = Vec::new();
+        fold_pairs(&soa, width, &pairs, 0.2, &mut out);
         for (k, &(a, b)) in pairs.iter().enumerate() {
-            let reference =
-                crate::emd::one_d::emd_1d_mass(&masses[a as usize], &masses[b as usize], 0.2);
+            let reference = emd_1d_mass(&masses[a as usize], &masses[b as usize], 0.2);
             assert_eq!(out[k].to_bits(), reference.to_bits(), "pair {a},{b}");
         }
     }
@@ -240,22 +229,31 @@ mod tests {
             hist(&[0.95, 0.95]),
             hist(&[0.05]),
         ];
-        let mut reference = Vec::new();
-        OneDBackend.pairwise(&hists, &mut reference).unwrap();
         let mut kernel = Vec::new();
         KernelOneDBackend.pairwise(&hists, &mut kernel).unwrap();
+        let mut reference = Vec::new();
+        for i in 0..hists.len() {
+            for j in (i + 1)..hists.len() {
+                reference.push(scalar(&hists[i], &hists[j]));
+            }
+        }
         assert_eq!(reference.len(), kernel.len());
         for (r, k) in reference.iter().zip(&kernel) {
             assert_eq!(r.to_bits(), k.to_bits());
         }
         let (left, right) = hists.split_at(2);
-        let mut reference = Vec::new();
-        OneDBackend.cross(left, right, &mut reference).unwrap();
         let mut kernel = Vec::new();
         KernelOneDBackend.cross(left, right, &mut kernel).unwrap();
+        let reference: Vec<f64> = left
+            .iter()
+            .flat_map(|a| right.iter().map(move |b| scalar(a, b)))
+            .collect();
+        assert_eq!(reference.len(), kernel.len());
         for (r, k) in reference.iter().zip(&kernel) {
             assert_eq!(r.to_bits(), k.to_bits());
         }
+        let d = KernelOneDBackend.pair(&hists[0], &hists[1]).unwrap();
+        assert_eq!(d.to_bits(), scalar(&hists[0], &hists[1]).to_bits());
     }
 
     #[test]

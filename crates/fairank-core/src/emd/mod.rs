@@ -4,27 +4,22 @@
 //! distributions with the EMD (Definition 2, citing Pele & Werman's fast
 //! EMD work). The implementations live behind the pluggable
 //! [`backend::EmdBackend`] trait (single-pair distance plus pairwise-batch
-//! entry points); four backends ship:
+//! entry points); two backends ship:
 //!
-//! * [`backend::OneDBackend`] (`1d`) — the exact closed form for
-//!   one-dimensional histograms over equal-width bins (the only case
-//!   FaiRank needs): the L1 distance between the two CDFs, scaled by the
-//!   bin width ([`one_d::emd_1d`]).
+//! * [`kernel::KernelOneDBackend`] (`1d`, the default) — the exact closed
+//!   form for one-dimensional histograms over equal-width bins (the only
+//!   case FaiRank needs): the L1 distance between the two CDFs, scaled by
+//!   the bin width. A single pair folds with the scalar
+//!   [`one_d::emd_1d_mass`]; a batch folds all its pairs together over a
+//!   structure-of-arrays mass matrix, one bin level at a time, running the
+//!   scalar fold's exact per-pair operation sequence — so both paths give
+//!   the same bits.
 //! * [`backend::TransportBackend`] (`transport`) — a general minimum-cost
 //!   transportation solver (successive shortest paths with potentials)
 //!   that accepts arbitrary ground-distance matrices. It is the reference
 //!   implementation the 1-D form is validated against, supports
 //!   non-uniform ground distances, and solves in a canonical input order
 //!   so its distances are bitwise symmetric.
-//! * [`backend::BatchedOneDBackend`] (`batched`) — the 1-D closed form
-//!   with batch-level hoisting of the normalized mass vectors;
-//!   bit-identical to `1d`, built for the O(L²) pairwise aggregations of
-//!   the QUANTIFY hot path.
-//! * [`kernel::KernelOneDBackend`] (`kernel`) — the 1-D closed form over a
-//!   structure-of-arrays batch: all pairs of a batch fold together, one
-//!   bin level at a time, in a branchless inner loop over pairs. Per pair
-//!   the operation sequence is exactly the reference fold, so the backend
-//!   stays bit-identical to `1d` while the inner loop autovectorizes.
 //!
 //! Distances are expressed in *score units*: for histograms over `[0, 1]`
 //! the EMD between any two probability distributions lies in `[0, 1]`.
@@ -34,7 +29,7 @@ pub mod kernel;
 pub mod one_d;
 pub mod transport;
 
-pub use backend::{BatchedOneDBackend, EmdBackend, OneDBackend, TransportBackend};
+pub use backend::{EmdBackend, TransportBackend};
 pub use kernel::KernelOneDBackend;
 pub use one_d::emd_1d;
 pub use transport::{transport_emd, TransportPlan};
@@ -48,52 +43,38 @@ use crate::histogram::Histogram;
 /// which the [`backend::EmdBackend`] trait objects live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum EmdBackendKind {
-    /// Exact 1-D closed form (CDF difference). Fast path; default.
+    /// Exact 1-D closed form (CDF difference), folded over a
+    /// structure-of-arrays batch. Fast path; default.
     #[default]
     OneD,
     /// General transportation solver with `|center_i - center_j|` costs.
     Transport,
-    /// Closed-form batched 1-D backend (bit-identical to `OneD`, hoists
-    /// per-histogram normalization out of pairwise batches).
-    Batched,
-    /// Structure-of-arrays 1-D backend (bit-identical to `OneD`): a whole
-    /// batch's CDF folds advance together, bin level by bin level, with a
-    /// branchless inner loop over pairs.
-    Kernel,
 }
 
 impl EmdBackendKind {
-    /// The command-syntax name of the backend (`1d` / `transport` /
-    /// `batched` / `kernel`) — the single source for both parsing and
-    /// display.
+    /// The command-syntax name of the backend (`1d` / `transport`) — the
+    /// single source for both parsing and display.
     pub fn name(&self) -> &'static str {
         match self {
             EmdBackendKind::OneD => "1d",
             EmdBackendKind::Transport => "transport",
-            EmdBackendKind::Batched => "batched",
-            EmdBackendKind::Kernel => "kernel",
         }
     }
 
-    /// Parses a command-syntax backend name.
+    /// Parses a command-syntax backend name. `batched` and `kernel` name
+    /// earlier 1-D implementations that gave the same bits as `1d`, so
+    /// they stay accepted as aliases of it.
     pub fn parse(s: &str) -> Option<EmdBackendKind> {
         match s {
-            "1d" => Some(EmdBackendKind::OneD),
+            "1d" | "batched" | "kernel" => Some(EmdBackendKind::OneD),
             "transport" => Some(EmdBackendKind::Transport),
-            "batched" => Some(EmdBackendKind::Batched),
-            "kernel" => Some(EmdBackendKind::Kernel),
             _ => None,
         }
     }
 
     /// Every backend, for sweeps and conformance suites.
-    pub fn all() -> [EmdBackendKind; 4] {
-        [
-            EmdBackendKind::OneD,
-            EmdBackendKind::Transport,
-            EmdBackendKind::Batched,
-            EmdBackendKind::Kernel,
-        ]
+    pub fn all() -> [EmdBackendKind; 2] {
+        [EmdBackendKind::OneD, EmdBackendKind::Transport]
     }
 }
 
@@ -132,7 +113,7 @@ impl Emd {
 
     /// All `C(L, 2)` unordered pairwise distances among `hists`, in
     /// lexicographic pair order `(0,1), (0,2), …` — one call per node, so
-    /// batching backends can hoist per-histogram work out of the pair loop.
+    /// backends can hoist per-histogram work out of the pair loop.
     pub fn pairwise(&self, hists: &[Histogram]) -> Result<Vec<f64>> {
         let n = hists.len();
         let mut out = Vec::with_capacity(n.saturating_sub(1) * n / 2);
@@ -161,8 +142,10 @@ mod tests {
     fn identical_histograms_have_zero_distance() {
         let h = hist(&[0.1, 0.5, 0.9]);
         for backend in EmdBackendKind::all() {
+            // Exactly +0.0: the engine never computes self-pairs and relies
+            // on these bits.
             let d = Emd::new(backend).distance(&h, &h).unwrap();
-            assert!(d.abs() < 1e-12, "{backend:?} gave {d}");
+            assert_eq!(d.to_bits(), 0.0f64.to_bits(), "{backend:?} gave {d}");
         }
     }
 
@@ -183,11 +166,9 @@ mod tests {
         let b = hist(&[0.25, 0.45, 0.55, 0.95]);
         let d1 = Emd::new(EmdBackendKind::OneD).distance(&a, &b).unwrap();
         let d2 = Emd::new(EmdBackendKind::Transport).distance(&a, &b).unwrap();
-        let d3 = Emd::new(EmdBackendKind::Batched).distance(&a, &b).unwrap();
-        let d4 = Emd::new(EmdBackendKind::Kernel).distance(&a, &b).unwrap();
+        let oracle = one_d::emd_1d_mass(&a.mass(), &b.mass(), a.spec().bin_width());
         assert!((d1 - d2).abs() < 1e-9, "one_d={d1} transport={d2}");
-        assert_eq!(d1.to_bits(), d3.to_bits(), "one_d={d1} batched={d3}");
-        assert_eq!(d1.to_bits(), d4.to_bits(), "one_d={d1} kernel={d4}");
+        assert_eq!(d1.to_bits(), oracle.to_bits(), "one_d={d1} scalar={oracle}");
     }
 
     #[test]
@@ -246,6 +227,9 @@ mod tests {
     fn backend_names_round_trip() {
         for backend in EmdBackendKind::all() {
             assert_eq!(EmdBackendKind::parse(backend.name()), Some(backend));
+        }
+        for alias in ["batched", "kernel"] {
+            assert_eq!(EmdBackendKind::parse(alias), Some(EmdBackendKind::OneD));
         }
         assert_eq!(EmdBackendKind::parse("nonsense"), None);
     }

@@ -292,8 +292,8 @@ enum ContentIndex {
 
 /// The interned-histogram arena: one flat `counts` row per content id
 /// (stride = bins), a parallel total, and a lazily-filled flat
-/// normalized-mass arena — the hoisted per-histogram work of the batched
-/// and kernel backends. `Histogram` values are materialized only on demand
+/// normalized-mass arena — the hoisted per-histogram work of the 1-D SoA
+/// fold. `Histogram` values are materialized only on demand
 /// (transport backend, public histogram lookups); the hot path works on
 /// the raw rows.
 #[derive(Debug)]
@@ -496,10 +496,10 @@ impl ContentTable {
 /// control-byte probing and tuple hashing are measurable.
 #[derive(Debug)]
 struct FlatMemo {
-    /// Slot keys; [`u64::MAX`] marks an empty slot (never a real key:
-    /// content ids stay far below `u32::MAX`).
-    keys: Vec<u64>,
-    vals: Vec<f64>,
+    /// `(key, distance)` slots, one cache line touch per probe; a key of
+    /// [`u64::MAX`] marks an empty slot (never a real key: content ids
+    /// stay far below `u32::MAX`).
+    slots: Vec<(u64, f64)>,
     len: usize,
 }
 
@@ -508,8 +508,7 @@ impl FlatMemo {
 
     fn new() -> Self {
         FlatMemo {
-            keys: vec![Self::EMPTY; 64],
-            vals: vec![0.0; 64],
+            slots: vec![(Self::EMPTY, 0.0); 64],
             len: 0,
         }
     }
@@ -517,17 +516,17 @@ impl FlatMemo {
     #[inline]
     fn start(&self, key: u64) -> usize {
         // Fibonacci hashing: multiply by 2^64/φ, keep the top log2(cap) bits.
-        let shift = 64 - self.keys.len().trailing_zeros();
+        let shift = 64 - self.slots.len().trailing_zeros();
         (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
     }
 
     fn get(&self, key: u64) -> Option<f64> {
-        let mask = self.keys.len() - 1;
+        let mask = self.slots.len() - 1;
         let mut i = self.start(key);
         loop {
-            let k = self.keys[i];
+            let (k, v) = self.slots[i];
             if k == key {
-                return Some(self.vals[i]);
+                return Some(v);
             }
             if k == Self::EMPTY {
                 return None;
@@ -538,33 +537,35 @@ impl FlatMemo {
 
     fn insert(&mut self, key: u64, val: f64) {
         debug_assert_ne!(key, Self::EMPTY, "key reserved for empty slots");
-        if (self.len + 1) * 2 > self.keys.len() {
-            self.grow();
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow_to(self.slots.len() * 2);
         }
-        let mask = self.keys.len() - 1;
+        let mask = self.slots.len() - 1;
         let mut i = self.start(key);
         loop {
-            let k = self.keys[i];
-            if k == Self::EMPTY {
-                self.keys[i] = key;
-                self.vals[i] = val;
-                self.len += 1;
-                return;
-            }
-            if k == key {
-                self.vals[i] = val;
+            let k = self.slots[i].0;
+            if k == Self::EMPTY || k == key {
+                self.len += usize::from(k == Self::EMPTY);
+                self.slots[i] = (key, val);
                 return;
             }
             i = (i + 1) & mask;
         }
     }
 
-    fn grow(&mut self) {
-        let cap = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![Self::EMPTY; cap]);
-        let old_vals = std::mem::replace(&mut self.vals, vec![0.0; cap]);
+    /// Room for `additional` more entries within the 50% load bound, so
+    /// a batch's inserts rehash at most once.
+    fn reserve(&mut self, additional: usize) {
+        let needed = (self.len + additional) * 2;
+        if needed > self.slots.len() {
+            self.grow_to(needed.next_power_of_two());
+        }
+    }
+
+    fn grow_to(&mut self, cap: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![(Self::EMPTY, 0.0); cap]);
         self.len = 0;
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
+        for (k, v) in old {
             if k != Self::EMPTY {
                 self.insert(k, v);
             }
@@ -577,12 +578,11 @@ impl FlatMemo {
     /// entries dropped. A monotonic remap preserves canonical pair
     /// orientation, so rekeyed entries stay findable under `canon`.
     fn retain_rekey(&mut self, remap: &[u32]) -> usize {
-        let cap = self.keys.len();
-        let old_keys = std::mem::replace(&mut self.keys, vec![Self::EMPTY; cap]);
-        let old_vals = std::mem::replace(&mut self.vals, vec![0.0; cap]);
+        let cap = self.slots.len();
+        let old = std::mem::replace(&mut self.slots, vec![(Self::EMPTY, 0.0); cap]);
         self.len = 0;
         let mut dropped = 0usize;
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
+        for (k, v) in old {
             if k == Self::EMPTY {
                 continue;
             }
@@ -628,6 +628,14 @@ impl EmdMemo {
                     None
                 }
             }
+        }
+    }
+
+    /// Room for `additional` more entries (the dense form grows by
+    /// stride on insert instead).
+    fn reserve(&mut self, additional: usize) {
+        if let EmdMemo::Flat(memo) = self {
+            memo.reserve(additional);
         }
     }
 
@@ -707,8 +715,6 @@ fn canon(a: u32, b: u32) -> (u32, u32) {
 /// allocates.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Distance vectors handed to the aggregator.
-    dists: Vec<f64>,
     /// Content-id lists of the partitions under evaluation.
     ids: Vec<u32>,
     /// Distinct content ids of one batch.
@@ -721,17 +727,16 @@ struct Scratch {
     slots: Vec<u32>,
     /// Second slot list for cross batches.
     slots2: Vec<u32>,
-    /// Dense distinct×distinct distance table of one batch.
+    /// Distinct×distinct distance table of one batch: upper triangle
+    /// filled, diagonal zero (see `SplitEngine::cell`).
     table: Vec<f64>,
     /// Which cross-batch table cells have been encountered.
     have: Vec<bool>,
     /// Distinct slot pairs not served by the memo.
     missing: Vec<(u32, u32)>,
-    /// Bin-major SoA mass matrix for the kernel fold.
+    /// Bin-major SoA mass matrix for the 1-D fold.
     soa: Vec<f64>,
-    /// Kernel fold accumulators.
-    cum: Vec<f64>,
-    total: Vec<f64>,
+    /// One computed distance per missing pair of a batch.
     folded: Vec<f64>,
     /// `counts[value * bins + bin]` grid of `best_split`'s one-pass scan.
     counts: Vec<u64>,
@@ -750,9 +755,9 @@ pub struct EngineStats {
     pub emd_calls: usize,
     /// Distance lookups served from the memo table.
     pub emd_cache_hits: usize,
-    /// Pairwise/cross aggregations resolved as one batch by the batched or
-    /// kernel backend (each batch touches the memo once per *distinct*
-    /// histogram pair instead of once per leaf pair).
+    /// Pairwise/cross aggregations resolved, each as one batch (a batch
+    /// touches the memo once per *distinct* histogram pair instead of once
+    /// per leaf pair).
     pub pairwise_batches: usize,
     /// Distinct cached histogram contents an incremental (delta) run
     /// consulted that were built by an earlier generation — the measure of
@@ -1003,56 +1008,6 @@ impl<'a> SplitEngine<'a> {
         self.contents.hist_owned(id)
     }
 
-    /// A memo miss resolved for the per-pair backends: the 1-D closed form
-    /// folds directly from the hoisted mass arena (bit-identical to
-    /// [`crate::emd::Emd::distance`]; conventions and the fold are the
-    /// backend layer's single source), the transport solver gets lazily
-    /// materialized canonical `Histogram`s.
-    fn compute_pair(&mut self, lo: u32, hi: u32) -> Result<f64> {
-        // The cancellation tick lives on this miss path, not in
-        // `distance` itself: memo hits are pure lookups (millions per
-        // search, nanoseconds each), so ticking them bought no latency
-        // bound worth measuring yet cost ~8% on the hot profile. Every
-        // 256 *computed* distances — the operations that actually burn
-        // time — poll the budget.
-        self.tick()?;
-        fault::panic_point(fault::EMD_PANIC);
-        if self.criterion.emd.backend() == EmdBackendKind::Transport {
-            let emd = self.criterion.emd;
-            self.contents.ensure_hist(lo);
-            self.contents.ensure_hist(hi);
-            return emd.distance(self.contents.hist(lo), self.contents.hist(hi));
-        }
-        self.contents.ensure_mass(lo);
-        self.contents.ensure_mass(hi);
-        Ok(crate::emd::backend::one_d_from_parts(
-            self.contents.is_empty(lo),
-            self.contents.is_empty(hi),
-            self.contents.mass(lo),
-            self.contents.mass(hi),
-            &self.criterion.hist,
-        ))
-    }
-
-    /// Memoized EMD between two content-identified histograms. The distance
-    /// is a pure function of the two count vectors (and the shared spec),
-    /// so equal content ids always reproduce the exact bits of a fresh
-    /// computation. Every backend is bitwise symmetric (the 1-D closed
-    /// form because CDF differences negate exactly, the transport solver
-    /// because it canonicalizes its input order), so the memo keys on the
-    /// unordered pair and one computation serves both directions.
-    fn distance(&mut self, id_a: u32, id_b: u32) -> Result<f64> {
-        let (lo, hi) = canon(id_a, id_b);
-        if let Some(d) = self.emd_memo.get(lo, hi) {
-            self.stats.emd_cache_hits += 1;
-            return Ok(d);
-        }
-        self.stats.emd_calls += 1;
-        let d = self.compute_pair(lo, hi)?;
-        self.emd_memo.insert(lo, hi, d);
-        Ok(d)
-    }
-
     /// Appends `id` to the distinct-id list if unseen, returning its slot.
     /// `lookup` is the dense content-id → slot table; callers reset the
     /// touched entries (one per distinct id) when the batch ends.
@@ -1071,6 +1026,15 @@ impl<'a> SplitEngine<'a> {
         slot
     }
 
+    /// The distance between two slots of a batch's distinct×distinct
+    /// table. Only the upper triangle (`lo < hi`) is written; the diagonal
+    /// keeps the 0.0 the table is cleared to.
+    #[inline]
+    fn cell(table: &[f64], d: usize, a: u32, b: u32) -> f64 {
+        let (lo, hi) = canon(a, b);
+        table[lo as usize * d + hi as usize]
+    }
+
     /// Clears the slot-lookup entries a batch touched.
     fn reset_slots(lookup: &mut [u32], distinct: &[u32]) {
         for &id in distinct {
@@ -1080,98 +1044,111 @@ impl<'a> SplitEngine<'a> {
 
     /// Computes every distinct slot pair of a batch the memo could not
     /// serve, inserting each distance into the memo and mirroring it into
-    /// the batch's slot table. The batched backend folds pair by pair from
-    /// the hoisted mass arena; the kernel backend gathers the distinct
-    /// masses into one bin-major SoA matrix and folds **all** missing
-    /// pairs together, one bin level at a time. Both execute the reference
-    /// per-pair operation sequence, so the memoized bits are identical.
-    fn compute_missing(&mut self, distinct: &[u32], missing: &[(u32, u32)], table: &mut [f64]) {
+    /// the batch's slot table. The only place the engine branches on the
+    /// backend: `1d` gathers the distinct masses into one bin-major SoA
+    /// matrix and folds **all** missing pairs together, one bin level at a
+    /// time (the scalar fold's per-pair operation sequence, so the
+    /// memoized bits are those of [`crate::emd::Emd::distance`]);
+    /// `transport` runs one solve per missing pair on lazily materialized
+    /// canonical `Histogram`s.
+    fn compute_missing(
+        &mut self,
+        distinct: &[u32],
+        missing: &[(u32, u32)],
+        table: &mut [f64],
+    ) -> Result<()> {
         if missing.is_empty() {
-            return;
+            return Ok(());
         }
         fault::panic_point(fault::EMD_PANIC);
         self.stats.emd_calls += missing.len();
         let d = distinct.len();
-        let spec = self.criterion.hist;
-        if self.criterion.emd.backend() == EmdBackendKind::Kernel {
-            for &id in distinct {
-                self.contents.ensure_mass(id);
+        let mut folded = std::mem::take(&mut self.scratch.folded);
+        folded.clear();
+        let result = match self.criterion.emd.backend() {
+            EmdBackendKind::OneD => {
+                self.fold_missing(distinct, missing, &mut folded);
+                Ok(())
             }
-            let bins = self.contents.bins;
-            let mut soa = std::mem::take(&mut self.scratch.soa);
-            soa.clear();
-            soa.resize(bins * d, 0.0);
-            for (slot, &id) in distinct.iter().enumerate() {
-                for (bin, &m) in self.contents.mass(id).iter().enumerate() {
-                    soa[bin * d + slot] = m;
-                }
-            }
-            let mut cum = std::mem::take(&mut self.scratch.cum);
-            let mut total = std::mem::take(&mut self.scratch.total);
-            let mut folded = std::mem::take(&mut self.scratch.folded);
-            folded.clear();
-            crate::emd::kernel::fold_pairs(
-                &soa,
-                d,
-                bins,
-                missing,
-                spec.bin_width(),
-                &mut cum,
-                &mut total,
-                &mut folded,
-            );
-            for (p, &(i, j)) in missing.iter().enumerate() {
-                let (a, b) = (distinct[i as usize], distinct[j as usize]);
-                let mut v = folded[p];
-                if let Some(c) = crate::emd::backend::convention(
-                    self.contents.is_empty(a),
-                    self.contents.is_empty(b),
-                    &spec,
-                ) {
-                    v = c;
-                }
-                let (lo, hi) = canon(a, b);
-                self.emd_memo.insert(lo, hi, v);
-                table[i as usize * d + j as usize] = v;
-                table[j as usize * d + i as usize] = v;
-            }
-            self.scratch.soa = soa;
-            self.scratch.cum = cum;
-            self.scratch.total = total;
-            self.scratch.folded = folded;
-        } else {
-            for &(i, j) in missing {
-                let (a, b) = (distinct[i as usize], distinct[j as usize]);
-                self.contents.ensure_mass(a);
-                self.contents.ensure_mass(b);
-                let v = crate::emd::backend::one_d_from_parts(
-                    self.contents.is_empty(a),
-                    self.contents.is_empty(b),
-                    self.contents.mass(a),
-                    self.contents.mass(b),
-                    &spec,
-                );
-                let (lo, hi) = canon(a, b);
-                self.emd_memo.insert(lo, hi, v);
-                table[i as usize * d + j as usize] = v;
-                table[j as usize * d + i as usize] = v;
-            }
+            EmdBackendKind::Transport => self.solve_missing(distinct, missing, &mut folded),
+        };
+        // `folded` holds one distance per finished pair — all of them, or
+        // the prefix a cancelled transport batch completed — and each is
+        // exact, so each is memoized.
+        self.emd_memo.reserve(folded.len());
+        for (&(i, j), &v) in missing.iter().zip(&folded) {
+            let (lo, hi) = canon(distinct[i as usize], distinct[j as usize]);
+            self.emd_memo.insert(lo, hi, v);
+            table[i as usize * d + j as usize] = v;
         }
+        self.scratch.folded = folded;
+        result
     }
 
-    /// The batching backends' pairwise aggregation: resolve each *distinct*
-    /// content pair once (through the memo), then aggregate the full
-    /// `C(L, 2)` sequence in the reference lexicographic order, streamed
-    /// straight out of the distinct×distinct table — the expanded vector
-    /// (millions of entries over fine partitionings) is never stored. Fine
-    /// partitionings repeat the same few score distributions constantly,
-    /// so this replaces the per-pair memo walk with `C(D, 2)` resolutions
-    /// for `D` distinct contents plus a streamed expansion.
-    fn batch_pairwise_value(&mut self, ids: &[u32]) -> f64 {
-        self.stats.pairwise_batches += 1;
+    /// The `1d` miss path: one SoA fold over the distinct masses, then the
+    /// empty-histogram conventions, one distance per missing pair.
+    fn fold_missing(&mut self, distinct: &[u32], missing: &[(u32, u32)], out: &mut Vec<f64>) {
+        for &id in distinct {
+            self.contents.ensure_mass(id);
+        }
+        let d = distinct.len();
+        let bins = self.contents.bins;
+        let spec = self.criterion.hist;
+        let mut soa = std::mem::take(&mut self.scratch.soa);
+        soa.clear();
+        soa.resize(bins * d, 0.0);
+        for (slot, &id) in distinct.iter().enumerate() {
+            for (bin, &m) in self.contents.mass(id).iter().enumerate() {
+                soa[bin * d + slot] = m;
+            }
+        }
+        crate::emd::kernel::fold_pairs(&soa, d, missing, spec.bin_width(), out);
+        for (v, &(i, j)) in out.iter_mut().zip(missing) {
+            let (a, b) = (distinct[i as usize], distinct[j as usize]);
+            let (a_empty, b_empty) = (self.contents.is_empty(a), self.contents.is_empty(b));
+            if let Some(c) = crate::emd::backend::convention(a_empty, b_empty, &spec) {
+                *v = c;
+            }
+        }
+        self.scratch.soa = soa;
+    }
+
+    /// The `transport` miss path: one solve per missing pair. Each solve
+    /// ticks the budget — solves are the operations that burn time (memo
+    /// hits are pure lookups and stay unticked), so a deadline fires
+    /// within a bounded number of solves.
+    fn solve_missing(
+        &mut self,
+        distinct: &[u32],
+        missing: &[(u32, u32)],
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
+        let emd = self.criterion.emd;
+        for &(i, j) in missing {
+            self.tick()?;
+            let (a, b) = (distinct[i as usize], distinct[j as usize]);
+            self.contents.ensure_hist(a);
+            self.contents.ensure_hist(b);
+            out.push(emd.distance(self.contents.hist(a), self.contents.hist(b))?);
+        }
+        Ok(())
+    }
+
+    /// Aggregated pairwise distance over content-identified histograms, in
+    /// the same `(0,1), (0,2), …` order as `pairwise_distances`. Each
+    /// *distinct* content pair is resolved once (through the memo), then
+    /// the full `C(L, 2)` sequence is aggregated in the reference
+    /// lexicographic order, streamed straight out of the distinct×distinct
+    /// table — the expanded vector (millions of entries over fine
+    /// partitionings) is never stored. Fine partitionings repeat the same
+    /// few score distributions constantly, so a node costs `C(D, 2)` memo
+    /// resolutions for `D` distinct contents plus a streamed expansion.
+    fn pairwise_value(&mut self, ids: &[u32]) -> Result<f64> {
         let n = ids.len();
+        self.tick_n(n.saturating_sub(1) * n / 2)?;
+        self.stats.pairwise_batches += 1;
         if n < 2 {
-            return self.criterion.aggregator.apply(&[]);
+            return Ok(self.criterion.aggregator.apply(&[]));
         }
         let mut distinct = std::mem::take(&mut self.scratch.distinct);
         distinct.clear();
@@ -1183,8 +1160,9 @@ impl<'a> SplitEngine<'a> {
         }
         Self::reset_slots(&mut lookup, &distinct);
         let d = distinct.len();
-        // The diagonal stays 0.0 — exactly what a self-pair computes (the
-        // mass differences are exact zeros, so the fold yields +0.0).
+        // The diagonal stays 0.0 — exactly what a self-pair computes under
+        // either backend (the 1-D fold's mass differences are exact zeros;
+        // the transport solve moves every unit along a zero-cost edge).
         let mut table = std::mem::take(&mut self.scratch.table);
         table.clear();
         table.resize(d * d, 0.0);
@@ -1196,19 +1174,22 @@ impl<'a> SplitEngine<'a> {
                 if let Some(v) = self.emd_memo.get(lo, hi) {
                     self.stats.emd_cache_hits += 1;
                     table[i * d + j] = v;
-                    table[j * d + i] = v;
                 } else {
                     missing.push((i as u32, j as u32));
                 }
             }
         }
-        self.compute_missing(&distinct, &missing, &mut table);
-        let value = self.criterion.aggregator.apply_iter(|| {
-            (0..n).flat_map(|i| {
-                let row = &table[slots[i] as usize * d..][..d];
-                slots[i + 1..].iter().map(move |&sj| row[sj as usize])
-            })
-        });
+        let value = self
+            .compute_missing(&distinct, &missing, &mut table)
+            .map(|()| {
+                let table = table.as_slice();
+                self.criterion.aggregator.apply_iter(|| {
+                    (0..n).flat_map(|i| {
+                        let si = slots[i];
+                        slots[i + 1..].iter().map(move |&sj| Self::cell(table, d, si, sj))
+                    })
+                })
+            });
         self.scratch.distinct = distinct;
         self.scratch.slot_lookup = lookup;
         self.scratch.slots = slots;
@@ -1217,10 +1198,12 @@ impl<'a> SplitEngine<'a> {
         value
     }
 
-    /// The batching backends' cross aggregation (left outer, right inner),
-    /// resolving each distinct content pair once and streaming the
-    /// expansion into the aggregator.
-    fn batch_cross_value(&mut self, left: &[u32], right: &[u32]) -> f64 {
+    /// Aggregated cross distance (left outer, right inner) over content
+    /// ids, in the same order as `cross_distances`: each distinct content
+    /// pair is resolved once and the expansion streams into the
+    /// aggregator.
+    fn cross_value(&mut self, left: &[u32], right: &[u32]) -> Result<f64> {
+        self.tick_n(left.len() * right.len())?;
         self.stats.pairwise_batches += 1;
         let mut distinct = std::mem::take(&mut self.scratch.distinct);
         distinct.clear();
@@ -1250,7 +1233,7 @@ impl<'a> SplitEngine<'a> {
                 if ls == rs {
                     continue; // self-pair: exact zero, same as a fresh fold
                 }
-                let (a, b) = if ls <= rs { (ls, rs) } else { (rs, ls) };
+                let (a, b) = canon(ls, rs);
                 let idx = a as usize * d + b as usize;
                 if have[idx] {
                     continue;
@@ -1260,21 +1243,21 @@ impl<'a> SplitEngine<'a> {
                 if let Some(v) = self.emd_memo.get(lo, hi) {
                     self.stats.emd_cache_hits += 1;
                     table[idx] = v;
-                    table[b as usize * d + a as usize] = v;
                 } else {
                     missing.push((a, b));
                 }
             }
         }
-        self.compute_missing(&distinct, &missing, &mut table);
-        let value = self.criterion.aggregator.apply_iter(|| {
-            lslots.iter().flat_map(|&ls| {
-                let row = &table[ls as usize * d..][..d];
-                rslots
-                    .iter()
-                    .map(move |&rs| if ls == rs { 0.0 } else { row[rs as usize] })
-            })
-        });
+        let value = self
+            .compute_missing(&distinct, &missing, &mut table)
+            .map(|()| {
+                let table = table.as_slice();
+                self.criterion.aggregator.apply_iter(|| {
+                    lslots.iter().flat_map(|&ls| {
+                        rslots.iter().map(move |&rs| Self::cell(table, d, ls, rs))
+                    })
+                })
+            });
         self.scratch.distinct = distinct;
         self.scratch.slot_lookup = lookup;
         self.scratch.slots = lslots;
@@ -1283,76 +1266,6 @@ impl<'a> SplitEngine<'a> {
         self.scratch.have = have;
         self.scratch.missing = missing;
         value
-    }
-
-    /// Whether the criterion's backend resolves aggregations batch-wise.
-    fn batching(&self) -> bool {
-        matches!(
-            self.criterion.emd.backend(),
-            EmdBackendKind::Batched | EmdBackendKind::Kernel
-        )
-    }
-
-    /// All pairwise distances over content ids in `(0,1), (0,2), …` order,
-    /// through per-pair memo lookups (the `1d`/`transport` backends; the
-    /// batching backends aggregate without materializing, via
-    /// [`Self::batch_pairwise_value`]).
-    fn pairwise_dists_into(&mut self, ids: &[u32], out: &mut Vec<f64>) -> Result<()> {
-        let n = ids.len();
-        out.reserve(n.saturating_sub(1) * n / 2);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let d = self.distance(ids[i], ids[j])?;
-                out.push(d);
-            }
-        }
-        Ok(())
-    }
-
-    /// All cross distances (left outer, right inner) over content ids,
-    /// through per-pair memo lookups.
-    fn cross_dists_into(&mut self, left: &[u32], right: &[u32], out: &mut Vec<f64>) -> Result<()> {
-        out.reserve(left.len() * right.len());
-        for &a in left {
-            for &b in right {
-                let d = self.distance(a, b)?;
-                out.push(d);
-            }
-        }
-        Ok(())
-    }
-
-    /// Aggregated pairwise distance over content-identified histograms, in
-    /// the same `(0,1), (0,2), …` order as `pairwise_distances`.
-    fn pairwise_value(&mut self, ids: &[u32]) -> Result<f64> {
-        if self.batching() {
-            let n = ids.len();
-            self.tick_n(n.saturating_sub(1) * n / 2)?;
-            return Ok(self.batch_pairwise_value(ids));
-        }
-        let mut dists = std::mem::take(&mut self.scratch.dists);
-        dists.clear();
-        let result = self
-            .pairwise_dists_into(ids, &mut dists)
-            .map(|()| self.criterion.aggregator.apply(&dists));
-        self.scratch.dists = dists;
-        result
-    }
-
-    /// Aggregated cross distance (left outer, right inner) over content
-    /// ids, in the same order as `cross_distances`.
-    fn cross_value(&mut self, left: &[u32], right: &[u32]) -> Result<f64> {
-        if self.batching() {
-            self.tick_n(left.len() * right.len())?;
-            return Ok(self.batch_cross_value(left, right));
-        }
-        let mut dists = std::mem::take(&mut self.scratch.dists);
-        dists.clear();
-        let result = self
-            .cross_dists_into(left, right, &mut dists)
-            .map(|()| self.criterion.aggregator.apply(&dists));
-        self.scratch.dists = dists;
-        result
     }
 
     /// `unfairness(P, f)` with cached histograms and memoized distances —
@@ -2221,6 +2134,27 @@ mod tests {
     }
 
     #[test]
+    fn flat_memo_reserve_grows_once_and_keeps_entries() {
+        let mut memo = FlatMemo::new();
+        for a in 0..10u32 {
+            memo.insert(EmdMemo::pack(a, a + 1), a as f64);
+        }
+        memo.reserve(1000);
+        let cap = memo.slots.len();
+        assert!(cap >= 2 * (10 + 1000) && cap.is_power_of_two(), "cap {cap}");
+        for a in 0..10u32 {
+            assert_eq!(memo.get(EmdMemo::pack(a, a + 1)), Some(a as f64));
+        }
+        // The reserved inserts fit without another rehash.
+        for b in 0..1000u32 {
+            memo.insert(EmdMemo::pack(100, 200 + b), b as f64);
+        }
+        assert_eq!(memo.slots.len(), cap);
+        assert_eq!(memo.len, 1010);
+        assert_eq!(memo.get(EmdMemo::pack(100, 999)), Some(799.0));
+    }
+
+    #[test]
     fn path_trie_distinguishes_prefixes_and_orders() {
         let mut trie = PathTrie::new();
         let a = PathStep { attr: 0, code: 1 };
@@ -2245,82 +2179,77 @@ mod tests {
 
     #[test]
     fn batched_backend_matches_per_pair_engine_bitwise() {
+        // The engine's batch path against the per-pair reference: the
+        // criterion's naive evaluation calls `Emd::distance` once per leaf
+        // pair and aggregates the materialized vector.
         use crate::emd::{Emd, EmdBackendKind};
         let s = space();
-        let mut per_pair = SplitEngine::new(&s, FairnessCriterion::default());
-        let mut batched = SplitEngine::new(
-            &s,
-            FairnessCriterion::default().with_emd(Emd::new(EmdBackendKind::Batched)),
-        );
         let root = Partition::root(&s);
         let parts = root.split(&s, 0);
-
-        let u1 = per_pair.unfairness(&parts).unwrap();
-        let ub = batched.unfairness(&parts).unwrap();
-        assert_eq!(u1.to_bits(), ub.to_bits());
-        let v1 = per_pair.versus(&parts[0], &parts[1..]).unwrap();
-        let vb = batched.versus(&parts[0], &parts[1..]).unwrap();
-        assert_eq!(v1.to_bits(), vb.to_bits());
-        let (c1, s1) = per_pair.best_split(&root, &[0, 1], 1).unwrap();
-        let (cb, sb) = batched.best_split(&root, &[0, 1], 1).unwrap();
-        let (c1, cb) = (c1.unwrap(), cb.unwrap());
-        assert_eq!((s1, c1.attr), (sb, cb.attr));
-        assert_eq!(c1.value.to_bits(), cb.value.to_bits());
-
-        // The batch path is live, never does more memo/EMD evaluations
-        // than the per-pair walk, and only it counts batches.
-        assert!(batched.stats().pairwise_batches > 0);
-        assert_eq!(per_pair.stats().pairwise_batches, 0);
-        assert!(
-            batched.stats().emd_calls + batched.stats().emd_cache_hits
-                <= per_pair.stats().emd_calls + per_pair.stats().emd_cache_hits
-        );
+        for backend in EmdBackendKind::all() {
+            let crit = FairnessCriterion::default().with_emd(Emd::new(backend));
+            let mut engine = SplitEngine::new(&s, crit);
+            let u = engine.unfairness(&parts).unwrap();
+            let u_ref = crit.unfairness(&parts, s.scores()).unwrap();
+            assert_eq!(u.to_bits(), u_ref.to_bits(), "{backend:?}");
+            let v = engine.versus(&parts[0], &parts[1..]).unwrap();
+            let v_ref = crit.versus(&parts[0], &parts[1..], s.scores()).unwrap();
+            assert_eq!(v.to_bits(), v_ref.to_bits(), "{backend:?}");
+            let (c, _) = engine.best_split(&root, &[0, 1], 1).unwrap();
+            let c = c.unwrap();
+            let c_ref = crit.unfairness(&root.split(&s, c.attr), s.scores()).unwrap();
+            assert_eq!(c.value.to_bits(), c_ref.to_bits(), "{backend:?}");
+            // Four aggregations of one leaf pair each (unfairness, versus,
+            // two candidate splits): one batch apiece, and never more
+            // memo/EMD evaluations than the per-pair walk's four.
+            let stats = engine.stats();
+            assert_eq!(stats.pairwise_batches, 4, "{backend:?}");
+            assert!(stats.emd_calls > 0, "{backend:?}");
+            assert!(stats.emd_calls + stats.emd_cache_hits <= 4, "{backend:?}");
+        }
     }
 
     #[test]
     fn kernel_backend_matches_batched_engine_bitwise() {
-        use crate::emd::{Emd, EmdBackendKind};
+        // The engine's id-level SoA fold (over its cached mass arena)
+        // against the 1-D backend's own batch entry points on
+        // materialized histograms: same values, bit for bit.
+        use crate::emd::Emd;
         let s = space();
-        let mut batched = SplitEngine::new(
-            &s,
-            FairnessCriterion::default().with_emd(Emd::new(EmdBackendKind::Batched)),
-        );
-        let mut kernel = SplitEngine::new(
-            &s,
-            FairnessCriterion::default().with_emd(Emd::new(EmdBackendKind::Kernel)),
-        );
+        let crit = FairnessCriterion::default();
+        let emd = Emd::default();
+        let mut engine = SplitEngine::new(&s, crit);
         let root = Partition::root(&s);
         let parts = root.split(&s, 0);
-        // Same values, bit for bit — the SoA fold replays the reference
-        // per-pair operation sequence — and the same work counters: the
-        // kernel path only changes *how* a batch's misses are folded.
-        for engine in [&mut batched, &mut kernel] {
-            let _ = engine.best_split(&root, &[0, 1], 1).unwrap();
-        }
-        let ub = batched.unfairness(&parts).unwrap();
-        let uk = kernel.unfairness(&parts).unwrap();
-        assert_eq!(ub.to_bits(), uk.to_bits());
-        let vb = batched.versus(&parts[0], &parts[1..]).unwrap();
-        let vk = kernel.versus(&parts[0], &parts[1..]).unwrap();
-        assert_eq!(vb.to_bits(), vk.to_bits());
-        let (cb, _) = batched.best_split(&parts[0], &[1], 1).unwrap();
-        let cb = cb.expect("noise splits the F partition");
-        let hb = batched
-            .holistic_values(&parts[1..], &parts[0], &cb)
-            .unwrap();
-        let (ck, _) = kernel.best_split(&parts[0], &[1], 1).unwrap();
-        let ck = ck.expect("noise splits the F partition");
-        let hk = kernel.holistic_values(&parts[1..], &parts[0], &ck).unwrap();
-        assert_eq!(hb.0.to_bits(), hk.0.to_bits());
-        assert_eq!(hb.1.to_bits(), hk.1.to_bits());
-        assert_eq!(batched.stats(), kernel.stats());
-        assert!(kernel.stats().pairwise_batches > 0);
+        let hists: Vec<Histogram> = parts.iter().map(|p| engine.histogram(p)).collect();
+        let _ = engine.best_split(&root, &[0, 1], 1).unwrap();
+        let u = engine.unfairness(&parts).unwrap();
+        let u_ref = crit.aggregator.apply(&emd.pairwise(&hists).unwrap());
+        assert_eq!(u.to_bits(), u_ref.to_bits());
+        let v = engine.versus(&parts[0], &parts[1..]).unwrap();
+        let v_ref = crit.aggregator.apply(&emd.cross(&hists[..1], &hists[1..]).unwrap());
+        assert_eq!(v.to_bits(), v_ref.to_bits());
+        let (c, _) = engine.best_split(&parts[0], &[1], 1).unwrap();
+        let c = c.expect("noise splits the F partition");
+        let (before, after) = engine.holistic_values(&parts[1..], &parts[0], &c).unwrap();
+        let children: Vec<Histogram> = parts[0]
+            .split(&s, c.attr)
+            .iter()
+            .map(|p| engine.histogram(p))
+            .collect();
+        let before_ref = crit.aggregator.apply(&emd.pairwise(&[hists[1].clone(), hists[0].clone()]).unwrap());
+        let mut after_hists = vec![hists[1].clone()];
+        after_hists.extend(children);
+        let after_ref = crit.aggregator.apply(&emd.pairwise(&after_hists).unwrap());
+        assert_eq!(before.to_bits(), before_ref.to_bits());
+        assert_eq!(after.to_bits(), after_ref.to_bits());
+        assert!(engine.stats().pairwise_batches > 0);
     }
 
     #[test]
     fn batch_dedup_collapses_repeated_contents() {
         use crate::emd::{Emd, EmdBackendKind};
-        for backend in [EmdBackendKind::Batched, EmdBackendKind::Kernel] {
+        for backend in EmdBackendKind::all() {
             let s = space();
             let mut engine = SplitEngine::new(
                 &s,

@@ -162,17 +162,20 @@ mod tests {
         LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    // The debug-build tests arm `DROP_CONN`, a point only the service
+    // crate checks: arming `EMD_PANIC` here would panic engine tests
+    // running on parallel threads of this same test binary.
     #[test]
     #[cfg(debug_assertions)]
     fn enable_disable_roundtrip_in_debug_builds() {
         let _guard = serialized();
         assert!(armed());
-        assert!(!active(EMD_PANIC));
-        enable(EMD_PANIC);
-        assert!(active(EMD_PANIC));
+        assert!(!active(DROP_CONN));
+        enable(DROP_CONN);
+        assert!(active(DROP_CONN));
         assert!(!active(SLOW_CELL), "points arm independently");
-        disable(EMD_PANIC);
-        assert!(!active(EMD_PANIC));
+        disable(DROP_CONN);
+        assert!(!active(DROP_CONN));
         enable(DROP_CONN);
         enable(TORN_WRITE);
         clear();
@@ -183,11 +186,11 @@ mod tests {
     #[cfg(debug_assertions)]
     fn panic_point_fires_when_armed() {
         let _guard = serialized();
-        enable(EMD_PANIC);
-        let result = std::panic::catch_unwind(|| panic_point(EMD_PANIC));
+        enable(DROP_CONN);
+        let result = std::panic::catch_unwind(|| panic_point(DROP_CONN));
         clear();
         assert!(result.is_err(), "armed panic point must panic");
-        panic_point(EMD_PANIC); // disarmed: must not panic
+        panic_point(DROP_CONN); // disarmed: must not panic
     }
 
     /// The release contract: fault injection compiles to a no-op. CI runs

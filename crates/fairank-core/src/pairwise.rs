@@ -6,7 +6,7 @@
 //! Distances are symmetric, so the full matrix stores only the upper
 //! triangle. Both aggregations hand the whole histogram set to the
 //! configured backend in one call ([`Emd::pairwise`] / [`Emd::cross`]), so
-//! batching backends can hoist per-histogram work out of the pair loop.
+//! a backend can hoist per-histogram work out of the pair loop.
 
 use crate::emd::Emd;
 use crate::error::Result;

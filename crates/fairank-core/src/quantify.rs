@@ -68,9 +68,9 @@ pub struct SearchStats {
     /// Distance lookups served from the engine's memo table (always 0 for
     /// the naive evaluation, which has no cache).
     pub emd_cache_hits: usize,
-    /// Pairwise/cross aggregations the batched EMD backend resolved as one
-    /// batch (always 0 under the per-pair `1d`/`transport` backends and
-    /// the naive evaluation).
+    /// Pairwise/cross aggregations the split engine resolved, each as one
+    /// batch over its distinct histogram pairs (always 0 for the naive
+    /// evaluation).
     pub pairwise_batches: usize,
     /// Histograms served from a previous generation's caches by an
     /// incremental (delta) re-evaluation — distinct cached contents the

@@ -1,5 +1,7 @@
 //! Columnar storage with dictionary-encoded categoricals.
 
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::{DataError, Result};
@@ -18,21 +20,22 @@ pub enum ColumnData {
 
 impl ColumnData {
     /// Builds a categorical column from raw strings, encoding in
-    /// first-appearance order.
+    /// first-appearance order. Labels are indexed by a hash map while
+    /// building, so a column of unique values (an id column) encodes in
+    /// linear time.
     pub fn categorical_from<S: AsRef<str>>(values: &[S]) -> Self {
+        let mut index: HashMap<&str, u32> = HashMap::new();
         let mut labels: Vec<String> = Vec::new();
-        let mut codes = Vec::with_capacity(values.len());
-        for v in values {
-            let v = v.as_ref();
-            let code = match labels.iter().position(|l| l == v) {
-                Some(i) => i as u32,
-                None => {
+        let codes = values
+            .iter()
+            .map(|v| {
+                let v = v.as_ref();
+                *index.entry(v).or_insert_with(|| {
                     labels.push(v.to_string());
                     (labels.len() - 1) as u32
-                }
-            };
-            codes.push(code);
-        }
+                })
+            })
+            .collect();
         ColumnData::Categorical { codes, labels }
     }
 
@@ -168,6 +171,34 @@ mod tests {
         assert_eq!(c.len(), 4);
         assert_eq!(c.dtype(), DataType::Categorical);
         assert_eq!(c.render(3), "z");
+    }
+
+    #[test]
+    fn categorical_codes_follow_first_appearance_with_unique_and_repeated_labels() {
+        // An id-like column of unique labels interleaved with a repeated
+        // few: codes must match a first-appearance linear scan.
+        let values: Vec<String> = (0..500)
+            .map(|i| if i % 3 == 0 { format!("rep{}", i % 4) } else { format!("id{i}") })
+            .collect();
+        let mut want_labels: Vec<String> = Vec::new();
+        let mut want_codes = Vec::new();
+        for v in &values {
+            let code = match want_labels.iter().position(|l| l == v) {
+                Some(i) => i,
+                None => {
+                    want_labels.push(v.clone());
+                    want_labels.len() - 1
+                }
+            };
+            want_codes.push(code as u32);
+        }
+        match ColumnData::categorical_from(&values) {
+            ColumnData::Categorical { codes, labels } => {
+                assert_eq!(codes, want_codes);
+                assert_eq!(labels, want_labels);
+            }
+            other => panic!("wrong type: {other:?}"),
+        }
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //! 3. The TTL sweeper (and admin `evict`) racing an in-flight request:
 //!    eviction between lease acquisition and the post-compute commit must
 //!    neither resurrect the evicted entry nor double-drop it.
+//! 4. A request line nested 200k levels deep used to overflow the event
+//!    loop thread's stack inside the recursive JSON parser and abort the
+//!    server. Parsing now stops at a fixed depth with an error.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -338,5 +341,36 @@ fn wire_evict_during_a_request_still_answers_the_request() {
         Response::DatasetList(entries) => assert!(entries.is_empty()),
         other => panic!("expected DatasetList, got {other:?}"),
     }
+    handle.stop();
+}
+
+// ------------------------------------------------ 4. deep JSON nesting
+
+/// One ~200 KB line of `{"command":` followed by 200k `[` used to recurse
+/// the JSON parser once per bracket on the event-loop thread until the
+/// stack overflowed, aborting the whole server. The parser now refuses
+/// nesting past a fixed depth: the line gets exactly one structured
+/// protocol error, and the same connection keeps being served.
+#[test]
+fn deeply_nested_json_gets_one_protocol_error_and_the_server_keeps_serving() {
+    let handle = start_server_with(plain_config());
+    let mut client = Client::connect(&handle);
+    let mut line = String::from("{\"command\":");
+    line.push_str(&"[".repeat(200_000));
+    line.push('\n');
+    client.writer.write_all(line.as_bytes()).expect("send deep line");
+
+    let mut reply = String::new();
+    client.reader.read_line(&mut reply).expect("read deep-line reply");
+    let reply: Reply = serde_json::from_str(reply.trim()).expect("reply parses");
+    let err = reply.into_result().expect_err("deep nesting must be refused");
+    assert_eq!(err.kind, "protocol");
+    assert!(err.message.contains("nesting"), "{}", err.message);
+
+    // The next line on the same connection is answered by `help` — so the
+    // deep line produced exactly one reply and the server is still up.
+    assert!(matches!(client.command("deep", "help"), Response::Help));
+    let mut other = Client::connect(&handle);
+    assert!(matches!(other.command("other", "help"), Response::Help));
     handle.stop();
 }

@@ -1,7 +1,7 @@
 //! The cross-session memoized plan-cell cache.
 //!
 //! Plan cells are deterministic functions of their compiled inputs
-//! (pinned since the plan layer landed, bit-identical across all four EMD
+//! (pinned since the plan layer landed, bit-identical across both EMD
 //! backends), and the dataset store gives those inputs a stable content
 //! identity — so a cell's outcome can be memoized under its
 //! [`CellKey`] and served to every session and connection asking the same

@@ -1236,6 +1236,13 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
+        // Names of earlier 1-D implementations stay accepted as aliases.
+        for alias in ["batched", "kernel"] {
+            match Command::parse(&format!("quantify pop f emd={alias}")).unwrap() {
+                Command::Quantify { emd, .. } => assert_eq!(emd, EmdBackendKind::OneD),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
         assert!(Command::parse("quantify pop f emd=sideways").is_err());
     }
 

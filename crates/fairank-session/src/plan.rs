@@ -342,8 +342,8 @@ pub struct CellStat {
     pub emd_calls: usize,
     /// Distance lookups served from the engine memo.
     pub emd_cache_hits: usize,
-    /// Pairwise/cross aggregations the batched EMD backend resolved as one
-    /// batch (0 under the per-pair backends).
+    /// Pairwise/cross aggregations the split engine resolved, each as one
+    /// batch over its distinct histogram pairs (0 for naive evaluation).
     pub pairwise_batches: usize,
     /// Histograms served from previous-generation caches by incremental
     /// (delta) re-quantification (0 for from-scratch cells).
@@ -1919,5 +1919,24 @@ mod tests {
         .unwrap();
         assert_eq!(minimal.strategy(), SearchStrategy::default());
         assert_eq!(minimal.criterion_grid(), CriterionGrid::default());
+    }
+
+    #[test]
+    fn retired_backend_names_in_a_json_spec_are_errors() {
+        // `emd=batched|kernel` are command-syntax aliases only: a JSON spec
+        // must name a variant that exists, and gets an error, not a panic.
+        let spec = |name: &str| {
+            format!(
+                r#"{{"perspective": {{"Grid": {{"datasets": ["a"], "functions": ["f"], "filter": null}}}},
+                    "criteria": {{"objectives": ["MostUnfair"], "aggregators": ["Mean"],
+                                  "bins": [10], "emds": ["{name}"]}}}}"#
+            )
+        };
+        let ok: ScenarioSpec = serde_json::from_str(&spec("OneD")).unwrap();
+        assert_eq!(ok.criterion_grid().emds, vec![EmdBackendKind::OneD]);
+        for name in ["Batched", "Kernel"] {
+            let err = serde_json::from_str::<ScenarioSpec>(&spec(name)).unwrap_err();
+            assert!(err.to_string().contains(name), "{name}: {err}");
+        }
     }
 }

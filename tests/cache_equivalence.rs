@@ -103,12 +103,7 @@ fn assert_bitwise_identical(fresh: &ScenarioReport, cached: &ScenarioReport) {
 
 #[test]
 fn cached_reruns_are_bitwise_identical_under_every_emd_backend() {
-    for backend in [
-        EmdBackendKind::OneD,
-        EmdBackendKind::Transport,
-        EmdBackendKind::Batched,
-        EmdBackendKind::Kernel,
-    ] {
+    for backend in EmdBackendKind::all() {
         let store = Arc::new(DatasetStore::new());
         let cache = CellCache::new(64);
         let spec = grid_spec(backend);

@@ -6,24 +6,24 @@
 //! the seed datasets (Table 1 and the biased synthetic population). The
 //! pinned bounds, per backend:
 //!
-//! * `batched` vs `1d` — **bit-identical** (0 ULP): the batched backend
-//!   hoists normalized masses but folds every pair in the reference
-//!   summation order.
-//! * `kernel` vs `1d` — **bit-identical** (0 ULP): the structure-of-arrays
-//!   fold runs the exact per-pair IEEE operation sequence of the reference,
-//!   just transposed for vectorization.
+//! * `1d` vs the scalar closed form ([`emd_1d_mass`] after the
+//!   empty-histogram conventions) — **bit-identical** (0 ULP), for single
+//!   pairs and for batches: the structure-of-arrays fold runs the exact
+//!   per-pair IEEE operation sequence of the scalar fold, just transposed
+//!   for vectorization.
 //! * `transport` vs `1d` — within `1e-9` (successive-shortest-path solver
 //!   epsilon on ≤ 64-bin probability vectors).
 //! * every backend — **bitwise symmetric**: `d(a, b)` and `d(b, a)` have
 //!   equal bits (the transport solver canonicalizes its input order).
 //!
-//! The engine-level half property-tests that a `SplitEngine` running the
-//! batched backend reproduces the per-pair `1d` engine bit for bit while
-//! never doing more memo/EMD evaluations, and that QUANTIFY's search
+//! The engine-level half property-tests that a `SplitEngine` reproduces the
+//! naive per-pair `Quantify` evaluation bit for bit under every backend
+//! while never doing more EMD evaluations, and that QUANTIFY's search
 //! results do not depend on the backend choice.
 
 use proptest::prelude::*;
 
+use fairank::core::emd::one_d::emd_1d_mass;
 use fairank::core::emd::{Emd, EmdBackendKind};
 use fairank::core::engine::SplitEngine;
 use fairank::core::fairness::{Aggregator, FairnessCriterion, Objective};
@@ -35,6 +35,17 @@ use fairank::core::space::{ProtectedAttribute, RankingSpace};
 
 /// Pinned agreement bound of the transport solver vs the 1-D closed form.
 const TRANSPORT_EPS: f64 = 1e-9;
+
+/// The scalar oracle: the empty-histogram conventions (empty vs. empty is
+/// 0, empty vs. non-empty the range width), then the closed-form fold on
+/// normalized masses.
+fn scalar_1d(a: &Histogram, b: &Histogram) -> f64 {
+    match (a.is_empty(), b.is_empty()) {
+        (true, true) => 0.0,
+        (true, false) | (false, true) => a.spec().hi() - a.spec().lo(),
+        (false, false) => emd_1d_mass(&a.mass(), &b.mass(), a.spec().bin_width()),
+    }
+}
 
 /// A set of 2–6 random histograms sharing one random spec (1–24 bins,
 /// per-bin counts up to 40 — including all-zero, i.e. empty, histograms).
@@ -86,13 +97,12 @@ proptest! {
     fn pair_distances_conform_on_random_histograms(hists in histogram_set()) {
         let one_d = Emd::new(EmdBackendKind::OneD);
         let transport = Emd::new(EmdBackendKind::Transport);
-        let batched = Emd::new(EmdBackendKind::Batched);
         for a in &hists {
             for b in &hists {
-                let reference = one_d.distance(a, b).unwrap();
-                // Batched: bit-identical to the closed form.
-                let d = batched.distance(a, b).unwrap();
-                prop_assert_eq!(reference.to_bits(), d.to_bits(), "batched {} vs {}", d, reference);
+                let reference = scalar_1d(a, b);
+                // 1d: bit-identical to the scalar closed form.
+                let d = one_d.distance(a, b).unwrap();
+                prop_assert_eq!(reference.to_bits(), d.to_bits(), "1d {} vs {}", d, reference);
                 // Transport: within the pinned solver epsilon.
                 let d = transport.distance(a, b).unwrap();
                 prop_assert!(
@@ -112,7 +122,6 @@ proptest! {
 
     #[test]
     fn pairwise_batches_conform_on_random_histograms(hists in histogram_set()) {
-        let one_d = Emd::new(EmdBackendKind::OneD);
         for kind in EmdBackendKind::all() {
             let emd = Emd::new(kind);
             let batch = emd.pairwise(&hists).unwrap();
@@ -122,11 +131,11 @@ proptest! {
                 for j in (i + 1)..hists.len() {
                     // Each batch entry equals that backend's own pair
                     // distance bit for bit (order preserved), and the 1-D
-                    // family is bit-identical to the reference closed form.
+                    // batch is bit-identical to the scalar closed form.
                     let own = emd.distance(&hists[i], &hists[j]).unwrap();
                     prop_assert_eq!(batch[k].to_bits(), own.to_bits(), "{:?}", kind);
-                    if kind != EmdBackendKind::Transport {
-                        let reference = one_d.distance(&hists[i], &hists[j]).unwrap();
+                    if kind == EmdBackendKind::OneD {
+                        let reference = scalar_1d(&hists[i], &hists[j]);
                         prop_assert_eq!(batch[k].to_bits(), reference.to_bits());
                     }
                     k += 1;
@@ -142,6 +151,9 @@ proptest! {
                         cross[k].to_bits(),
                         emd.distance(a, b).unwrap().to_bits()
                     );
+                    if kind == EmdBackendKind::OneD {
+                        prop_assert_eq!(cross[k].to_bits(), scalar_1d(a, b).to_bits());
+                    }
                     k += 1;
                 }
             }
@@ -151,27 +163,32 @@ proptest! {
     #[test]
     fn batched_engine_is_bit_identical_and_never_busier(space in ranking_space()) {
         for objective in [Objective::MostUnfair, Objective::LeastUnfair] {
-            let one_d = FairnessCriterion::new(objective, Aggregator::Mean);
-            let batched = one_d.with_emd(Emd::new(EmdBackendKind::Batched));
-            let a = Quantify::new(one_d).run_space(&space).unwrap();
-            let b = Quantify::new(batched).run_space(&space).unwrap();
-            prop_assert_eq!(
-                a.unfairness.to_bits(),
-                b.unfairness.to_bits(),
-                "{:?}: {} vs {}", objective, a.unfairness, b.unfairness
-            );
-            prop_assert_eq!(&a.partitions, &b.partitions);
-            prop_assert_eq!(&a.tree, &b.tree);
-            prop_assert_eq!(a.stats.candidate_splits, b.stats.candidate_splits);
-            prop_assert_eq!(a.stats.histograms_built, b.stats.histograms_built);
-            // The batch path replaces the per-pair memo walk: never more
-            // memo/EMD evaluations, and the batch counter is live.
-            prop_assert!(
-                b.stats.emd_calls + b.stats.emd_cache_hits
-                    <= a.stats.emd_calls + a.stats.emd_cache_hits
-            );
-            prop_assert!(b.stats.pairwise_batches > 0);
-            prop_assert_eq!(a.stats.pairwise_batches, 0);
+            for kind in EmdBackendKind::all() {
+                let criterion = FairnessCriterion::new(objective, Aggregator::Mean)
+                    .with_emd(Emd::new(kind));
+                let naive = Quantify::new(criterion)
+                    .with_naive_evaluation()
+                    .run_space(&space)
+                    .unwrap();
+                let engine = Quantify::new(criterion).run_space(&space).unwrap();
+                prop_assert_eq!(
+                    naive.unfairness.to_bits(),
+                    engine.unfairness.to_bits(),
+                    "{:?} {:?}: {} vs {}", kind, objective, naive.unfairness, engine.unfairness
+                );
+                prop_assert_eq!(&naive.partitions, &engine.partitions);
+                prop_assert_eq!(&naive.tree, &engine.tree);
+                prop_assert_eq!(naive.stats.candidate_splits, engine.stats.candidate_splits);
+                prop_assert!(engine.stats.histograms_built <= naive.stats.histograms_built);
+                // The batch path replaces the naive per-pair walk: never
+                // more EMD evaluations, and the batch counter is live.
+                prop_assert!(
+                    engine.stats.emd_calls + engine.stats.emd_cache_hits
+                        <= naive.stats.emd_calls + naive.stats.emd_cache_hits
+                );
+                prop_assert!(engine.stats.pairwise_batches > 0);
+                prop_assert_eq!(naive.stats.pairwise_batches, 0);
+            }
         }
     }
 
@@ -306,6 +323,7 @@ fn denormal_and_inf_adjacent_scores_stay_finite_under_every_backend() {
         let h = ProtectedAttribute::from_values("h", &["x", "x", "y", "y", "x", "x", "y", "y"]);
         let space = RankingSpace::new(vec![g, h], scores).expect("finite scores are valid");
         let reference = Quantify::new(FairnessCriterion::default().fit_range(&space))
+            .with_naive_evaluation()
             .run_space(&space)
             .expect("reference run");
         assert!(
@@ -323,7 +341,8 @@ fn denormal_and_inf_adjacent_scores_stay_finite_under_every_backend() {
                 "{kind:?} produced non-finite unfairness {}",
                 outcome.unfairness
             );
-            // The 1-D family must still conform bit for bit. Transport is
+            // The 1-D engine must still match the naive reference bit for
+            // bit. Transport is
             // only epsilon-bound, and at f64::MAX magnitudes its solver
             // epsilon can legitimately flip a near-tie split decision — so
             // it is held to finiteness only here (its agreement on normal
@@ -346,10 +365,12 @@ fn denormal_and_inf_adjacent_scores_stay_finite_under_every_backend() {
 // ---- real leaf sets from the seed datasets ----------------------------
 
 /// Runs QUANTIFY on a prepared space under every backend and checks the
-/// conformance contract: identical search results everywhere, bit-identical
-/// unfairness for the 1-D family, `TRANSPORT_EPS` agreement for transport.
+/// conformance contract against the naive `1d` evaluation: identical
+/// search results everywhere, bit-identical unfairness for the `1d`
+/// engine, `TRANSPORT_EPS` agreement for transport.
 fn assert_backends_agree_on(space: &RankingSpace) {
     let reference = Quantify::new(FairnessCriterion::default().fit_range(space))
+        .with_naive_evaluation()
         .run_space(space)
         .expect("reference run");
     for kind in EmdBackendKind::all() {

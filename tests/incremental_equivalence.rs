@@ -97,15 +97,6 @@ fn resolve_batch(space: &RankingSpace, ops: &[ChurnOp]) -> SpaceDelta {
     delta
 }
 
-fn all_backends() -> [EmdBackendKind; 4] {
-    [
-        EmdBackendKind::OneD,
-        EmdBackendKind::Transport,
-        EmdBackendKind::Batched,
-        EmdBackendKind::Kernel,
-    ]
-}
-
 fn criterion_for(backend: EmdBackendKind) -> FairnessCriterion {
     FairnessCriterion::new(Objective::MostUnfair, Aggregator::Mean).with_emd(Emd::new(backend))
 }
@@ -141,14 +132,14 @@ proptest! {
 
     // Random churn batches: after every apply + requantify, the delta
     // outcome is bitwise-identical to a fresh full recompute over the
-    // mutated space, for all four EMD backends, and the delta run never
+    // mutated space, for both EMD backends, and the delta run never
     // evaluates more EMDs than the full one.
     #[test]
     fn random_churn_matches_full_recompute(
         space in ranking_space(),
         batches in prop::collection::vec(prop::collection::vec(churn_op(), 1..6), 1..3),
     ) {
-        for backend in all_backends() {
+        for backend in EmdBackendKind::all() {
             let search = Quantify::new(criterion_for(backend)).with_min_partition_size(2);
             let mut engine = DeltaEngine::new(space.clone(), search.clone()).unwrap();
             engine.requantify().unwrap();
@@ -223,7 +214,7 @@ fn emptying_and_refilling_a_bin_stays_bitwise_identical() {
     )
     .unwrap();
 
-    for backend in all_backends() {
+    for backend in EmdBackendKind::all() {
         let search = Quantify::new(criterion_for(backend)).with_min_partition_size(2);
         let mut engine = DeltaEngine::new(space.clone(), search.clone()).unwrap();
         engine.requantify().unwrap();

@@ -95,3 +95,20 @@ fn generated_presets_are_usable_end_to_end() {
     run(&mut s, "define g customer_rating*1.0");
     assert!(run(&mut s, "quantify d g").contains("panel #1"));
 }
+
+#[test]
+fn emd_aliases_render_exactly_what_1d_renders() {
+    // `batched` and `kernel` are accepted aliases of `1d`: same panel,
+    // byte for byte.
+    let render = |emd: &str| {
+        let mut s = Session::new();
+        run(&mut s, "generate pop biased n=300 seed=4");
+        run(&mut s, "define f rating*0.7+language_test*0.3");
+        run(&mut s, &format!("quantify pop f emd={emd}"))
+    };
+    let one_d = render("1d");
+    assert!(one_d.contains("panel #0"));
+    for alias in ["batched", "kernel"] {
+        assert_eq!(render(alias), one_d, "emd={alias}");
+    }
+}
