@@ -3,13 +3,16 @@
 //! resolve the search's pairwise aggregations with at least 4× fewer
 //! EMD evaluations (`emd_calls + emd_cache_hits`) than the naive
 //! `Quantify` walk, which computes every leaf pair of every aggregation —
-//! with search results unchanged to the last bit. Emits
-//! `BENCH_pairwise.json` (the committed baseline at the workspace root; CI
-//! runs the smoke shape via `FAIRANK_BENCH_SMOKE=1` and uploads the JSON
-//! as an artifact, like `BENCH_quantify.json`).
+//! with search results unchanged to the last bit. Writes its report to
+//! the test's scratch directory (`CARGO_TARGET_TMPDIR`), so a plain
+//! `cargo test` leaves the checkout untouched; CI runs the smoke shape via
+//! `FAIRANK_BENCH_SMOKE=1` and uploads the JSON as an artifact, like
+//! `BENCH_quantify.json`.
 //!
 //! Output path override: `BENCH_PAIRWISE_OUT=<path>` (relative paths
-//! resolve against the workspace root).
+//! resolve against the workspace root). Regenerate the committed baseline
+//! with `BENCH_PAIRWISE_OUT=BENCH_pairwise.json cargo test --release -p
+//! fairank-bench --test pairwise_batch`.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -63,9 +66,25 @@ fn out_path(smoke: bool) -> PathBuf {
                 root.join(p)
             }
         }
-        None if smoke => root.join("BENCH_pairwise.smoke.json"),
-        None => root.join("BENCH_pairwise.json"),
+        None if smoke => {
+            PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("BENCH_pairwise.smoke.json")
+        }
+        None => PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("BENCH_pairwise.json"),
     }
+}
+
+/// The default engine's pair-level resolutions on the 10k-row / 8-attribute
+/// reference space are pinned: skipping the memo in the final all-leaves
+/// aggregation moves its memo hits into `emd_calls`, but the sum stays
+/// exactly what the memoized aggregation resolved.
+#[test]
+fn engine_pairwise_evaluations_are_pinned_on_the_reference_space() {
+    let space = synthetic_space(10_000, 8, 3, 0.3, 7);
+    let outcome = Quantify::new(FairnessCriterion::default())
+        .run_space(&space)
+        .expect("quantify runs");
+    assert_eq!(evaluations(&outcome), 94_564, "stats: {:?}", outcome.stats);
+    assert_eq!(outcome.partitions.len(), 3_177);
 }
 
 #[test]

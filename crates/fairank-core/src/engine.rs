@@ -751,7 +751,8 @@ pub struct EngineStats {
     /// Histograms actually constructed (cache misses included, cache hits
     /// not).
     pub histograms_built: usize,
-    /// EMD distances actually computed (memo misses).
+    /// EMD distances actually computed (memo misses, plus under `1d`
+    /// every distinct pair of a [`SplitEngine::final_unfairness`] batch).
     pub emd_calls: usize,
     /// Distance lookups served from the memo table.
     pub emd_cache_hits: usize,
@@ -1043,19 +1044,20 @@ impl<'a> SplitEngine<'a> {
     }
 
     /// Computes every distinct slot pair of a batch the memo could not
-    /// serve, inserting each distance into the memo and mirroring it into
-    /// the batch's slot table. The only place the engine branches on the
-    /// backend: `1d` gathers the distinct masses into one bin-major SoA
-    /// matrix and folds **all** missing pairs together, one bin level at a
-    /// time (the scalar fold's per-pair operation sequence, so the
-    /// memoized bits are those of [`crate::emd::Emd::distance`]);
-    /// `transport` runs one solve per missing pair on lazily materialized
-    /// canonical `Histogram`s.
+    /// serve, writing each distance into the batch's slot table and, when
+    /// `memoize` is set, into the memo. The only place the engine branches
+    /// on the backend: `1d` gathers the distinct masses into one bin-major
+    /// SoA matrix and folds **all** missing pairs together, one bin level
+    /// at a time (the scalar fold's per-pair operation sequence, so the
+    /// bits are those of [`crate::emd::Emd::distance`]); `transport` runs
+    /// one solve per missing pair on lazily materialized canonical
+    /// `Histogram`s.
     fn compute_missing(
         &mut self,
         distinct: &[u32],
         missing: &[(u32, u32)],
         table: &mut [f64],
+        memoize: bool,
     ) -> Result<()> {
         if missing.is_empty() {
             return Ok(());
@@ -1074,12 +1076,16 @@ impl<'a> SplitEngine<'a> {
         };
         // `folded` holds one distance per finished pair — all of them, or
         // the prefix a cancelled transport batch completed — and each is
-        // exact, so each is memoized.
-        self.emd_memo.reserve(folded.len());
+        // exact, so each may be memoized.
         for (&(i, j), &v) in missing.iter().zip(&folded) {
-            let (lo, hi) = canon(distinct[i as usize], distinct[j as usize]);
-            self.emd_memo.insert(lo, hi, v);
             table[i as usize * d + j as usize] = v;
+        }
+        if memoize {
+            self.emd_memo.reserve(folded.len());
+            for (&(i, j), &v) in missing.iter().zip(&folded) {
+                let (lo, hi) = canon(distinct[i as usize], distinct[j as usize]);
+                self.emd_memo.insert(lo, hi, v);
+            }
         }
         self.scratch.folded = folded;
         result
@@ -1143,7 +1149,9 @@ impl<'a> SplitEngine<'a> {
     /// partitionings) is never stored. Fine partitionings repeat the same
     /// few score distributions constantly, so a node costs `C(D, 2)` memo
     /// resolutions for `D` distinct contents plus a streamed expansion.
-    fn pairwise_value(&mut self, ids: &[u32]) -> Result<f64> {
+    /// Without `memoize` the memo is not filled, and under `1d` not probed
+    /// either (see [`Self::final_unfairness`]).
+    fn pairwise_value(&mut self, ids: &[u32], memoize: bool) -> Result<f64> {
         let n = ids.len();
         self.tick_n(n.saturating_sub(1) * n / 2)?;
         self.stats.pairwise_batches += 1;
@@ -1168,19 +1176,29 @@ impl<'a> SplitEngine<'a> {
         table.resize(d * d, 0.0);
         let mut missing = std::mem::take(&mut self.scratch.missing);
         missing.clear();
+        // A probe costs about what the `1d` fold of the pair costs, but a
+        // small fraction of a transport solve: only a batch that memoizes
+        // probes under `1d`, every batch probes under `transport`.
+        let probe = memoize || self.criterion.emd.backend() == EmdBackendKind::Transport;
         for i in 0..d {
             for j in (i + 1)..d {
-                let (lo, hi) = canon(distinct[i], distinct[j]);
-                if let Some(v) = self.emd_memo.get(lo, hi) {
-                    self.stats.emd_cache_hits += 1;
-                    table[i * d + j] = v;
+                let hit = if probe {
+                    let (lo, hi) = canon(distinct[i], distinct[j]);
+                    self.emd_memo.get(lo, hi)
                 } else {
-                    missing.push((i as u32, j as u32));
+                    None
+                };
+                match hit {
+                    Some(v) => {
+                        self.stats.emd_cache_hits += 1;
+                        table[i * d + j] = v;
+                    }
+                    None => missing.push((i as u32, j as u32)),
                 }
             }
         }
         let value = self
-            .compute_missing(&distinct, &missing, &mut table)
+            .compute_missing(&distinct, &missing, &mut table, memoize)
             .map(|()| {
                 let table = table.as_slice();
                 self.criterion.aggregator.apply_iter(|| {
@@ -1249,7 +1267,7 @@ impl<'a> SplitEngine<'a> {
             }
         }
         let value = self
-            .compute_missing(&distinct, &missing, &mut table)
+            .compute_missing(&distinct, &missing, &mut table, true)
             .map(|()| {
                 let table = table.as_slice();
                 self.criterion.aggregator.apply_iter(|| {
@@ -1273,12 +1291,29 @@ impl<'a> SplitEngine<'a> {
     /// and exhaustive searches, whose states revisit the same partitions
     /// over and over.
     pub fn unfairness(&mut self, partitions: &[Partition]) -> Result<f64> {
+        self.unfairness_with(partitions, true)
+    }
+
+    /// [`Self::unfairness`] for an engine about to be dropped — a
+    /// from-scratch search's final partitioning. The all-leaves batch is
+    /// mostly new pairs (up to hundreds of thousands on 10k-row spaces)
+    /// that no later call would read, so it does not fill the memo. Under
+    /// `1d` it does not probe it either: every distinct content pair is
+    /// folded directly and counted in `emd_calls`. Under `transport` the
+    /// pairs the memo already holds are still read, since a solve costs
+    /// far more than a probe. The bits equal [`Self::unfairness`]'s, since
+    /// a memo entry holds exactly what the same computation yields.
+    pub fn final_unfairness(&mut self, partitions: &[Partition]) -> Result<f64> {
+        self.unfairness_with(partitions, false)
+    }
+
+    fn unfairness_with(&mut self, partitions: &[Partition], memoize: bool) -> Result<f64> {
         let mut ids = std::mem::take(&mut self.scratch.ids);
         ids.clear();
         for p in partitions {
             ids.push(self.hist_id(p));
         }
-        let result = self.pairwise_value(&ids);
+        let result = self.pairwise_value(&ids, memoize);
         self.scratch.ids = ids;
         result
     }
@@ -1331,11 +1366,11 @@ impl<'a> SplitEngine<'a> {
             ids.push(self.hist_id(s));
         }
         ids.push(self.hist_id(current));
-        let result = match self.pairwise_value(&ids) {
+        let result = match self.pairwise_value(&ids, true) {
             Ok(before) => {
                 ids.truncate(siblings.len());
                 ids.extend(candidate.child_ids.iter().copied());
-                self.pairwise_value(&ids).map(|after| (before, after))
+                self.pairwise_value(&ids, true).map(|after| (before, after))
             }
             Err(e) => Err(e),
         };
@@ -1383,11 +1418,11 @@ impl<'a> SplitEngine<'a> {
         for &id in &ids {
             self.note_reuse(id);
         }
-        let result = match self.pairwise_value(&ids) {
+        let result = match self.pairwise_value(&ids, true) {
             Ok(before) => {
                 ids.truncate(sibling_ids.len());
                 ids.extend(candidate.child_ids.iter().copied());
-                self.pairwise_value(&ids).map(|after| (before, after))
+                self.pairwise_value(&ids, true).map(|after| (before, after))
             }
             Err(e) => Err(e),
         };
@@ -1488,7 +1523,7 @@ impl<'a> SplitEngine<'a> {
                 };
                 child_ids.push(id);
             }
-            let value = match self.pairwise_value(&child_ids) {
+            let value = match self.pairwise_value(&child_ids, true) {
                 Ok(v) => v,
                 Err(e) => {
                     failure = Some(e);
@@ -1594,7 +1629,7 @@ impl<'a> SplitEngine<'a> {
                 self.note_reuse(id);
             }
             scored += 1;
-            let value = self.pairwise_value(&child_ids)?;
+            let value = self.pairwise_value(&child_ids, true)?;
             let better = match &best {
                 None => true,
                 Some(incumbent) => self.criterion.objective.is_better(value, incumbent.value),
@@ -2244,6 +2279,79 @@ mod tests {
         assert_eq!(before.to_bits(), before_ref.to_bits());
         assert_eq!(after.to_bits(), after_ref.to_bits());
         assert!(engine.stats().pairwise_batches > 0);
+    }
+
+    /// Entries the memo holds, in either representation.
+    fn memo_len(memo: &EmdMemo) -> usize {
+        match memo {
+            EmdMemo::Flat(memo) => memo.len,
+            EmdMemo::Dense { cells, .. } => cells.iter().filter(|v| !v.is_nan()).count(),
+        }
+    }
+
+    /// A seeded random space and its full partitioning down to depth
+    /// `attrs`: many small leaves, so contents repeat across leaves.
+    fn random_leaves(seed: u64, n: usize, attrs: usize) -> (RankingSpace, Vec<Partition>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let attributes = (0..attrs)
+            .map(|a| {
+                let values: Vec<String> = (0..n)
+                    .map(|_| format!("v{}", rng.gen_range(0..3u32)))
+                    .collect();
+                ProtectedAttribute::from_values(format!("a{a}"), &values)
+            })
+            .collect();
+        let scores = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let s = RankingSpace::new(attributes, scores).unwrap();
+        let mut leaves = vec![Partition::root(&s)];
+        for a in 0..attrs {
+            leaves = leaves.iter().flat_map(|p| p.split(&s, a)).collect();
+        }
+        (s, leaves)
+    }
+
+    #[test]
+    fn final_unfairness_matches_memoized_bits_and_never_fills_the_memo() {
+        use crate::emd::{Emd, EmdBackendKind};
+        for seed in 0..4u64 {
+            let (s, leaves) = random_leaves(seed, 60 + 30 * seed as usize, 3);
+            let root = Partition::root(&s);
+            for backend in EmdBackendKind::all() {
+                let crit = FairnessCriterion::default().with_emd(Emd::new(backend));
+                for compact in [true, false] {
+                    let mut engine = SplitEngine::new_with_layout(&s, crit, compact);
+                    // Warm the memo with some of the leaves' pairs, as a
+                    // search would before its final aggregation.
+                    let _ = engine.best_split(&root, &[0, 1], 1).unwrap();
+                    let _ = engine.unfairness(&leaves[..leaves.len() / 2]).unwrap();
+                    let (entries, before) = (memo_len(&engine.emd_memo), engine.stats());
+                    let distinct: HashSet<u32> = leaves.iter().map(|p| engine.hist_id(p)).collect();
+
+                    let fresh = engine.final_unfairness(&leaves).unwrap();
+                    let after = engine.stats();
+                    let tag = format!("seed {seed} {backend:?} compact={compact}");
+                    assert_eq!(memo_len(&engine.emd_memo), entries, "{tag}");
+                    let (calls, hits) = (
+                        after.emd_calls - before.emd_calls,
+                        after.emd_cache_hits - before.emd_cache_hits,
+                    );
+                    let d = distinct.len();
+                    assert_eq!(calls + hits, d * (d - 1) / 2, "{tag}");
+                    match backend {
+                        // `1d` folds every pair without reading the memo.
+                        EmdBackendKind::OneD => assert_eq!(hits, 0, "{tag}"),
+                        // `transport` still reads the warmed pairs.
+                        EmdBackendKind::Transport => assert!(hits > 0, "{tag}"),
+                    }
+
+                    let memoized = engine.unfairness(&leaves).unwrap();
+                    assert_eq!(fresh.to_bits(), memoized.to_bits(), "{tag}");
+                    let naive = crit.unfairness(&leaves, s.scores()).unwrap();
+                    assert_eq!(fresh.to_bits(), naive.to_bits(), "{tag}");
+                }
+            }
+        }
     }
 
     #[test]

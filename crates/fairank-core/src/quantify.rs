@@ -63,10 +63,14 @@ pub struct SearchStats {
     pub candidate_splits: usize,
     /// Histograms actually constructed during evaluation.
     pub histograms_built: usize,
-    /// EMD distances actually computed.
+    /// EMD distances actually computed. The final all-leaves aggregation
+    /// of a from-scratch search is never memoized; under `1d` it computes
+    /// every distinct pair here instead of reading the memo.
     pub emd_calls: usize,
     /// Distance lookups served from the engine's memo table (always 0 for
-    /// the naive evaluation, which has no cache).
+    /// the naive evaluation, which has no cache). Under `1d` the final
+    /// aggregation of a from-scratch search never reads the memo, so it
+    /// adds none.
     pub emd_cache_hits: usize,
     /// Pairwise/cross aggregations the split engine resolved, each as one
     /// batch over its distinct histogram pairs (always 0 for the naive
@@ -267,7 +271,7 @@ impl Quantify {
         let Some(candidate) = candidate else {
             // Nothing splits the population: the trivial partitioning.
             let partitions = vec![root];
-            let unfairness = engine.unfairness(&partitions)?;
+            let unfairness = engine.final_unfairness(&partitions)?;
             Self::merge_engine_stats(stats, engine);
             return Ok(QuantifyOutcome {
                 tree,
@@ -303,8 +307,10 @@ impl Quantify {
             )?;
         }
 
+        // The engine is dropped after this batch: nothing it memoized
+        // would be read again.
         let partitions = tree.leaf_partitions();
-        let unfairness = engine.unfairness(&partitions)?;
+        let unfairness = engine.final_unfairness(&partitions)?;
         Self::merge_engine_stats(stats, engine);
         Ok(QuantifyOutcome {
             tree,

@@ -106,8 +106,11 @@ struct Conn {
     state_id: Option<u64>,
     /// Bytes read but not yet consumed as request lines.
     read_buf: Vec<u8>,
-    /// Serialized reply bytes not yet accepted by the socket.
+    /// Serialized reply bytes; `write_buf[write_off..]` is what the socket
+    /// has not accepted yet. Cleared once fully sent, so a non-empty
+    /// buffer always holds unsent bytes.
     write_buf: Vec<u8>,
+    write_off: usize,
     /// The in-flight request's cancel token (at most one per connection).
     inflight: Option<CancelToken>,
     /// The peer closed its write half (EOF seen).
@@ -132,6 +135,7 @@ impl Conn {
             state_id,
             read_buf: Vec::new(),
             write_buf: Vec::new(),
+            write_off: 0,
             inflight: None,
             peer_eof: false,
             close_after_drain: false,
@@ -174,18 +178,20 @@ fn fill_read_buf(conn: &mut Conn) -> ReadEnd {
 }
 
 /// Writes as much buffered output as the socket accepts right now.
+/// A partial write advances `write_off` instead of shifting the unsent
+/// tail, so draining an MB-sized reply stays linear in its size.
 fn flush_write(conn: &mut Conn) -> std::io::Result<()> {
-    while !conn.write_buf.is_empty() {
-        match conn.stream.write(&conn.write_buf) {
+    while conn.write_off < conn.write_buf.len() {
+        match conn.stream.write(&conn.write_buf[conn.write_off..]) {
             Ok(0) => return Err(ErrorKind::WriteZero.into()),
-            Ok(n) => {
-                conn.write_buf.drain(..n);
-            }
+            Ok(n) => conn.write_off += n,
             Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
+    conn.write_buf.clear();
+    conn.write_off = 0;
     Ok(())
 }
 
@@ -626,5 +632,49 @@ impl EventLoop<'_> {
         if let Some(token) = conn.inflight {
             token.cancel(CancelReason::Disconnected);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_reply_larger_than_the_socket_buffer_drains_byte_identical() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(0, stream, None);
+        // Far past what loopback socket buffers hold, with a varied pattern
+        // so a dropped or repeated chunk cannot go unnoticed.
+        let reply: Vec<u8> = (0..24usize << 20).map(|i| (i % 251) as u8).collect();
+        conn.write_buf.extend_from_slice(&reply);
+
+        // Nobody reads yet: the socket takes a prefix and would block.
+        flush_write(&mut conn).unwrap();
+        assert!(conn.write_off > 0 && conn.write_off < reply.len());
+        assert_eq!(
+            conn.write_buf.len(),
+            reply.len(),
+            "sent bytes are not shifted out"
+        );
+
+        let reader = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            client.read_to_end(&mut got).unwrap();
+            got
+        });
+        let mut partial_writes = 1;
+        while !conn.write_buf.is_empty() {
+            flush_write(&mut conn).unwrap();
+            partial_writes += 1;
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(conn.write_off, 0);
+        assert!(partial_writes > 2, "{partial_writes} flushes");
+        drop(conn); // EOF for the reader
+        assert!(reader.join().unwrap() == reply, "bytes arrive unchanged");
     }
 }

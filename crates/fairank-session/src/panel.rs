@@ -6,6 +6,7 @@
 
 use fairank_core::fairness::FairnessCriterion;
 use fairank_core::histogram::Histogram;
+use fairank_core::pairwise::cross_distances;
 use fairank_core::quantify::QuantifyOutcome;
 use fairank_core::space::RankingSpace;
 
@@ -31,9 +32,13 @@ pub struct GeneralInfo {
     pub candidate_splits: usize,
     /// Histograms the evaluation engine actually built.
     pub histograms_built: usize,
-    /// EMD distances actually computed.
+    /// EMD distances actually computed. The final all-leaves aggregation
+    /// of a from-scratch search is never memoized; under `1d` every one of
+    /// its distinct pairs counts here.
     pub emd_calls: usize,
-    /// Distance lookups served from the engine's memo table.
+    /// Distance lookups served from the engine's memo table (under `1d`,
+    /// none from a from-scratch search's final aggregation, which skips
+    /// the memo).
     pub emd_cache_hits: usize,
     /// Pairwise/cross aggregations the split engine resolved, each as one
     /// batch over its distinct histogram pairs (0 for naive evaluation).
@@ -126,13 +131,76 @@ impl Panel {
                 node,
             });
         }
+        let tree = &self.outcome.tree;
+        let criterion = &self.config.criterion;
+        let scores = self.space.scores();
+        let partition = &tree.node(node).partition;
+        let divergence_vs_siblings = tree.node(node).parent.map(|parent| {
+            let siblings: Vec<_> = tree
+                .node(parent)
+                .children
+                .iter()
+                .filter(|&&c| c != node)
+                .map(|&c| tree.node(c).partition.clone())
+                .collect();
+            criterion
+                .versus(partition, &siblings, scores)
+                .unwrap_or(0.0)
+        });
+        let histogram = criterion.histogram(partition, scores);
+        Ok(self.stats_of(node, histogram, divergence_vs_siblings))
+    }
+
+    /// The *Node* box of every tree node, in node order. Each histogram is
+    /// built once and shared by the node's own stats and its siblings'
+    /// divergences, which run the same `cross_distances` + aggregator
+    /// sequence as [`FairnessCriterion::versus`], so every field equals
+    /// [`Self::node_stats`]'s bit for bit.
+    pub fn all_node_stats(&self) -> Vec<NodeStats> {
+        let tree = &self.outcome.tree;
+        let criterion = &self.config.criterion;
+        let scores = self.space.scores();
+        let hists: Vec<Histogram> = (0..tree.len())
+            .map(|id| criterion.histogram(&tree.node(id).partition, scores))
+            .collect();
+        let divergences: Vec<Option<f64>> = (0..tree.len())
+            .map(|id| {
+                tree.node(id).parent.map(|parent| {
+                    let siblings: Vec<Histogram> = tree
+                        .node(parent)
+                        .children
+                        .iter()
+                        .filter(|&&c| c != id)
+                        .map(|&c| hists[c].clone())
+                        .collect();
+                    cross_distances(&hists[id..=id], &siblings, &criterion.emd)
+                        .map(|d| criterion.aggregator.apply(&d))
+                        .unwrap_or(0.0)
+                })
+            })
+            .collect();
+        hists
+            .into_iter()
+            .zip(divergences)
+            .enumerate()
+            .map(|(id, (histogram, divergence))| self.stats_of(id, histogram, divergence))
+            .collect()
+    }
+
+    /// Assembles a node's stats around its already-computed histogram and
+    /// sibling divergence.
+    fn stats_of(
+        &self,
+        node: usize,
+        histogram: Histogram,
+        divergence_vs_siblings: Option<f64>,
+    ) -> NodeStats {
         let tree_node = self.outcome.tree.node(node);
         let partition = &tree_node.partition;
-        let scores = self.space.scores();
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
         let mut sum = 0.0;
-        for s in partition.scores(scores) {
+        for s in partition.scores(self.space.scores()) {
             min = min.min(s);
             max = max.max(s);
             sum += s;
@@ -142,23 +210,7 @@ impl Panel {
         } else {
             sum / partition.len() as f64
         };
-        let histogram = self.config.criterion.histogram(partition, scores);
-        let divergence_vs_siblings = tree_node.parent.map(|parent| {
-            let siblings: Vec<_> = self
-                .outcome
-                .tree
-                .node(parent)
-                .children
-                .iter()
-                .filter(|&&c| c != node)
-                .map(|&c| self.outcome.tree.node(c).partition.clone())
-                .collect();
-            self.config
-                .criterion
-                .versus(partition, &siblings, scores)
-                .unwrap_or(0.0)
-        });
-        Ok(NodeStats {
+        NodeStats {
             node,
             label: partition.label(&self.space),
             size: partition.len(),
@@ -172,7 +224,7 @@ impl Panel {
                 .and_then(|a| self.space.attribute(a))
                 .map(|a| a.name.clone()),
             divergence_vs_siblings,
-        })
+        }
     }
 
     /// Node stats for every leaf (final partition), in tree order.

@@ -19,7 +19,7 @@ pub fn sparkline(hist: &Histogram) -> String {
 
 /// Renders the panel's partitioning tree.
 pub fn render_tree(panel: &Panel) -> String {
-    let nodes = node_views(panel).expect("panel tree nodes are valid");
+    let nodes = node_views(panel);
     present::render_tree_view(&nodes)
 }
 

@@ -123,9 +123,13 @@ pub struct PanelView {
     pub candidate_splits: usize,
     /// Histograms the evaluation engine actually built.
     pub histograms_built: usize,
-    /// EMD distances actually computed.
+    /// EMD distances actually computed. The final all-leaves aggregation
+    /// of a from-scratch search is never memoized; under `1d` every one of
+    /// its distinct pairs counts here.
     pub emd_calls: usize,
-    /// Distance lookups served from the engine's memo table.
+    /// Distance lookups served from the engine's memo table (under `1d`,
+    /// none from a from-scratch search's final aggregation, which skips
+    /// the memo).
     pub emd_cache_hits: usize,
     /// Pairwise/cross aggregations the split engine resolved, each as one
     /// batch over its distinct histogram pairs (0 for naive evaluation).
@@ -147,7 +151,7 @@ impl PanelView {
     /// Builds the full wire view of a panel (general info + all nodes).
     pub fn from_panel(panel: &Panel) -> crate::error::Result<Self> {
         let mut view = Self::general_only(panel);
-        view.nodes = node_views(panel)?;
+        view.nodes = node_views(panel);
         Ok(view)
     }
 
@@ -178,19 +182,16 @@ impl PanelView {
 }
 
 /// Wire views of every node of a panel's tree, root first.
-pub fn node_views(panel: &Panel) -> crate::error::Result<Vec<NodeView>> {
+pub fn node_views(panel: &Panel) -> Vec<NodeView> {
     let tree = &panel.outcome.tree;
-    let mut nodes = Vec::with_capacity(tree.len());
-    for id in 0..tree.len() {
-        let stats = panel.node_stats(id)?;
-        let tree_node = tree.node(id);
-        nodes.push(NodeView::from_stats(
-            stats,
-            tree_node.parent,
-            tree_node.children.clone(),
-        ));
-    }
-    Ok(nodes)
+    panel
+        .all_node_stats()
+        .into_iter()
+        .map(|stats| {
+            let tree_node = tree.node(stats.node);
+            NodeView::from_stats(stats, tree_node.parent, tree_node.children.clone())
+        })
+        .collect()
 }
 
 /// Side-by-side comparison of two panels (the `compare` command).
@@ -485,6 +486,85 @@ mod tests {
             outcome,
             from_cache: false,
         }
+    }
+
+    /// A 10k-row panel over 8 three-valued attributes: a tree of
+    /// thousands of nodes, the shape the served panel view is sized for.
+    fn wide_panel(criterion: fairank_core::fairness::FairnessCriterion) -> Panel {
+        use fairank_core::space::{ProtectedAttribute, RankingSpace};
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let n = 10_000;
+        let attributes = (0..8)
+            .map(|a| {
+                let values: Vec<String> = (0..n).map(|_| format!("v{}", next() % 3)).collect();
+                ProtectedAttribute::from_values(format!("a{a}"), &values)
+            })
+            .collect();
+        let scores = (0..n)
+            .map(|_| (next() >> 11) as f64 / (1u64 << 53) as f64)
+            .collect();
+        let space = RankingSpace::new(attributes, scores).unwrap();
+        let mut config = Configuration::new("wide", "f");
+        config.criterion = criterion;
+        let outcome = Quantify::new(criterion).run_space(&space).unwrap();
+        Panel {
+            id: 0,
+            config,
+            space,
+            outcome,
+            from_cache: false,
+        }
+    }
+
+    /// Every node view built in one pass equals the per-node `node_stats`
+    /// box, floats compared by their bits.
+    fn assert_views_match_node_stats(p: &Panel) {
+        let view = PanelView::from_panel(p).unwrap();
+        assert_eq!(view.nodes.len(), p.outcome.tree.len());
+        for node in &view.nodes {
+            let stats = p.node_stats(node.node).unwrap();
+            let tree_node = p.outcome.tree.node(node.node);
+            let bits = |v: Option<f64>| v.map(f64::to_bits);
+            assert_eq!(node.parent, tree_node.parent);
+            assert_eq!(node.children, tree_node.children);
+            assert_eq!(node.label, stats.label);
+            assert_eq!(node.size, stats.size);
+            assert_eq!(node.mean_score.to_bits(), stats.mean_score.to_bits());
+            assert_eq!(node.min_score.to_bits(), stats.min_score.to_bits());
+            assert_eq!(node.max_score.to_bits(), stats.max_score.to_bits());
+            assert_eq!(node.histogram, stats.histogram.counts());
+            assert_eq!(node.is_leaf, stats.is_leaf);
+            assert_eq!(node.split_attribute, stats.split_attribute);
+            assert_eq!(
+                bits(node.divergence_vs_siblings),
+                bits(stats.divergence_vs_siblings),
+                "node {}",
+                node.node
+            );
+        }
+    }
+
+    #[test]
+    fn panel_view_nodes_equal_per_node_stats_bitwise() {
+        use fairank_core::emd::{Emd, EmdBackendKind};
+        for backend in EmdBackendKind::all() {
+            let mut p = panel();
+            p.config.criterion = p.config.criterion.with_emd(Emd::new(backend));
+            assert_views_match_node_stats(&p);
+        }
+        let wide = wide_panel(Default::default());
+        assert!(
+            wide.outcome.tree.len() > 1_000,
+            "{} nodes",
+            wide.outcome.tree.len()
+        );
+        assert_views_match_node_stats(&wide);
     }
 
     fn round_trip(response: &Response) {
